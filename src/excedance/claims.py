@@ -195,8 +195,8 @@ def verify_all(
     """One result per requested claim, always in registry order."""
     wanted = set(ids) if ids is not None else None
     if wanted is not None:
-        for claim_id in wanted:
-            get_claim(claim_id)  # surface unknown ids before any work
+        for claim_id in ids:
+            get_claim(claim_id)  # surface the first unknown id before any work
     results = tuple(
         verify_claim(claim_id, max_n, force=force)
         for claim_id in _REGISTRY

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from . import __version__
 from .claims import (
     DEFAULT_MAX_N,
     FAIL,
-    claim_ids,
     get_claim,
     render_report,
     verify_all,
@@ -165,15 +165,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ids = tuple(part.strip() for part in args.claims.split(",") if part.strip())
         if not ids:
             return _fail_usage("--claims needs 'all' or a comma-separated id list")
-        for claim_id in ids:
-            try:
-                get_claim(claim_id)
-            except KeyError:
-                return _fail_usage(
-                    f"unknown claim {claim_id!r}; registered: {', '.join(claim_ids())}"
-                )
     try:
         report = verify_all(args.max_n, ids, force=args.force)
+    except KeyError as exc:
+        return _fail_usage(exc.args[0])
     except (GuardError, ValueError) as exc:
         return _fail_usage(str(exc))
     print(render_report(report, args.format, include_meta=not args.no_meta))
@@ -195,6 +190,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _rational_arg(text: str) -> Fraction:
+    # Fraction expands an exponent, so "1e100000" would become an integer of
+    # 100001 digits whose powers no series order could afford.
+    if "e" in text.lower():
+        raise argparse.ArgumentTypeError(
+            f"exponent notation is not accepted: {text!r}; write t as p/q or an integer"
+        )
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError):
@@ -252,9 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_t(argv: list[str]) -> list[str]:
+    # argparse reads "-1/2" after "--t" as an unknown flag rather than a
+    # value, because it only recognises negative integers and decimals;
+    # "--t=-1/2" leaves it no choice.
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--t" and re.match(r"-[\d.]", arg):
+            joined[-1] = f"--t={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_t(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

@@ -9,7 +9,7 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -17,6 +17,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -114,6 +115,12 @@ def test_series_phi_matches_one_plus_tanh():
     assert result.returncode == 0
     lines = result.stdout.splitlines()
     assert lines[0] == "phi(t=-1, order=2) = 1 + 1*x + 0*x^2"
+    # A negative fraction after a space is a value, not an unknown flag.
+    spaced = run_cli("series", "phi", "--order", "3", "--t", "-1/2")
+    joined = run_cli("series", "phi", "--order", "3", "--t=-1/2")
+    assert spaced.returncode == joined.returncode == 0
+    assert spaced.stdout == joined.stdout
+    assert spaced.stdout.startswith("phi(t=-1/2, order=3) = ")
 
 
 def test_series_bernoulli_egf_column():
@@ -134,6 +141,14 @@ def test_series_phi_requires_valid_t():
     assert run_cli("series", "phi", "--order", "4").returncode == 2
     assert run_cli("series", "tanh", "--order", "4", "--t", "2").returncode == 2
     assert run_cli("series", "phi", "--t", "x", "--order", "4").returncode == 2
+
+
+def test_series_phi_refuses_exponent_notation():
+    for text in ("--t=1e100000", "--t=2E3"):
+        result = run_cli("series", "phi", "--order", "64", text, timeout=15)
+        assert result.returncode == 2
+        assert "p/q" in result.stderr
+        assert result.stdout == ""
 
 
 def test_series_guards():

@@ -4,6 +4,8 @@ from math import factorial
 
 import pytest
 
+from excedance import permutations
+from excedance.claims import verify_all
 from excedance.permutations import (
     GuardError,
     Permutation,
@@ -138,11 +140,32 @@ def test_count_alternating_examples():
 
 
 def test_count_alternating_matches_filtered_enumeration():
-    for n in range(0, 9):
+    for n in range(0, 10):
         filtered = sum(
             1 for p in enumerate_permutations(n) if is_alternating_up_down(p)
         )
         assert count_alternating(n) == filtered
+
+
+def test_count_alternating_pins_a000111_to_the_guard():
+    assert [count_alternating(n) for n in range(13)] == [
+        1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765,
+    ]
+
+
+def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
+    calls = []
+    raw = permutations._raw_permutations
+
+    def counting(n):
+        calls.append(n)
+        return raw(n)
+
+    permutations._excedance_tally.cache_clear()
+    monkeypatch.setattr(permutations, "_raw_permutations", counting)
+    verify_all(8)
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_even_length_counts_match_down_up_recount():
