@@ -327,15 +327,14 @@ def _eval_genocchi_relation(n: int) -> Pairs:
 
 
 # Self-contained recurrence route: seeds index 1 and consumes only its own
-# earlier values, never the series.
-_CLAIMED_G: dict[int, int] = {1: 1}
+# earlier values, never the series.  Grows from index 0 (an empty sum, 0).
+_CLAIMED_G: list[int] = [0, 1]
 
 
 def _claimed_genocchi_recurrence(n: int) -> int:
-    if n not in _CLAIMED_G:
-        _CLAIMED_G[n] = -sum(
-            binomial(n, k) * _claimed_genocchi_recurrence(k) for k in range(1, n)
-        )
+    while len(_CLAIMED_G) <= n:
+        m = len(_CLAIMED_G)
+        _CLAIMED_G.append(-sum(binomial(m, k) * _CLAIMED_G[k] for k in range(1, m)))
     return _CLAIMED_G[n]
 
 

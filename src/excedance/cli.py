@@ -27,7 +27,6 @@ from .exact import factorial, format_exact, parse_rational
 from .permutations import ENUMERATION_GUARD, GuardError, excedance_distribution
 from .sequences import SEQUENCE_NAMES, eulerian_numbers, sequence_table
 from .series import (
-    Series,
     bernoulli_series,
     egf_coeff,
     genocchi_series,
@@ -38,7 +37,17 @@ from .series import (
 
 DIST_GUARD_DEFAULT = 8
 SERIES_ORDER_MAX = 64
-SERIES_NAMES = ("tanh", "phi", "genocchi", "bernoulli")
+# seq tangent --count 500 takes about 11 s; the cost grows faster than count^2.
+SEQ_COUNT_MAX = 500
+
+# Each constructor takes the order and phi's --t, which only phi reads.
+SERIES = {
+    "tanh": lambda order, t: tanh_series(order),
+    "phi": lambda order, t: phi_series(t, order),
+    "genocchi": lambda order, t: genocchi_series(order),
+    "bernoulli": lambda order, t: bernoulli_series(order),
+}
+SERIES_NAMES = tuple(SERIES)
 
 
 def _fail_usage(message: str) -> int:
@@ -50,8 +59,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
     name, count = args.name, args.count
     if name not in SEQUENCE_NAMES:
         return _fail_usage(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
-    if count < 1:
-        return _fail_usage(f"--count must be >= 1, got {count}")
+    if count < 1 or count > SEQ_COUNT_MAX:
+        return _fail_usage(f"--count must be within 1..{SEQ_COUNT_MAX}, got {count}")
     if name == "eulerian":
         rows = [eulerian_numbers(n) for n in range(1, count + 1)]
         if args.format == "json":
@@ -105,18 +114,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_series(name: str, order: int, t: Fraction | None) -> Series:
-    if name == "tanh":
-        return tanh_series(order)
-    if name == "genocchi":
-        return genocchi_series(order)
-    if name == "bernoulli":
-        return bernoulli_series(order)
-    assert name == "phi"
-    assert t is not None
-    return phi_series(t, order)
-
-
 def cmd_series(args: argparse.Namespace) -> int:
     name, order = args.name, args.order
     if name not in SERIES_NAMES:
@@ -134,7 +131,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             )
     elif t is not None:
         return _fail_usage(f"--t only applies to phi, not {name!r}")
-    series = _build_series(name, order, t)
+    series = SERIES[name](order, t)
     ordinary = [format_exact(c) for c in series.coeffs]
     egf = [format_exact(egf_coeff(series, k)) for k in range(order + 1)]
     if name == "phi":
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", parents=[common], help="print the first values of a sequence")
     p_seq.add_argument("name", help=f"one of {', '.join(SEQUENCE_NAMES)}")
-    p_seq.add_argument("--count", type=int, required=True, help="how many values (>= 1)")
+    p_seq.add_argument("--count", type=int, required=True, help=f"how many values (1..{SEQ_COUNT_MAX})")
     p_seq.set_defaults(func=cmd_seq)
 
     p_dist = sub.add_parser("dist", parents=[common], help="excedance distribution table")

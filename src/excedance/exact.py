@@ -14,15 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Integer = int
-Rational = Fraction
-
 # Exact value as stored in sequence tables and claim counterexamples.
 ExactValue = int | Fraction
 
 __all__ = [
-    "Integer",
-    "Rational",
     "ExactValue",
     "factorial",
     "binomial",

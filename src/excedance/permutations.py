@@ -174,8 +174,17 @@ def alternating_sum_bruteforce(n: int, *, guard: int = ENUMERATION_GUARD) -> int
     return sum(-c if k % 2 else c for k, c in enumerate(_excedance_tally(n)))
 
 
-@functools.cache
-def _count_alternating_inner(n: int) -> int:
+def count_alternating(n: int, *, guard: int = ENUMERATION_GUARD) -> int:
+    """Number of up-down permutations of length n.
+
+    >>> count_alternating(1)
+    1
+    >>> count_alternating(3)
+    2
+    >>> count_alternating(5)
+    16
+    """
+    _check_guard(n, guard)
     # Dynamic programming over alternating prefixes: a state is the bitmask
     # of values used so far and the last value, the prefix length is the
     # popcount of the mask, and each layer maps its states to the number of
@@ -194,20 +203,6 @@ def _count_alternating_inner(n: int) -> int:
                     grown[key] = grown.get(key, 0) + ways
         layer = grown
     return sum(layer.values())
-
-
-def count_alternating(n: int, *, guard: int = ENUMERATION_GUARD) -> int:
-    """Number of up-down permutations of length n.
-
-    >>> count_alternating(1)
-    1
-    >>> count_alternating(3)
-    2
-    >>> count_alternating(5)
-    16
-    """
-    _check_guard(n, guard)
-    return _count_alternating_inner(n)
 
 
 def eulerian_poly_bruteforce(

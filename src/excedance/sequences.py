@@ -13,13 +13,13 @@ claims module can cross-validate them:
 * Alternating excedance sums: closed form in terms of tangent numbers,
   checked against brute-force enumeration.
 
-Values are memoized per index and never recomputed; everything is exact,
-and any route that passes through rationals asserts integrality before
-returning an int, so a convention slip fails loudly instead of rounding.
+The Bernoulli numbers, the Eulerian rows and the series prefixes are each
+grown once, and values are read from them.  Everything is exact, and any
+route that passes through rationals asserts integrality before returning
+an int, so a convention slip fails loudly instead of rounding.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,7 +194,6 @@ def _as_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-@functools.cache
 def tangent(m: int, route: str = "bernoulli") -> int:
     """Tangent number at odd index m, by any of three routes.
 
@@ -233,7 +232,6 @@ def genocchi_value(n: int) -> Fraction:
     return egf_coeff(genocchi_series(n), n)
 
 
-@functools.cache
 def genocchi(n: int) -> int:
     """Genocchi number at index n >= 1.
 
@@ -247,7 +245,6 @@ def genocchi(n: int) -> int:
     return _as_integer(genocchi_value(n), f"genocchi({n})")
 
 
-@functools.cache
 def alternating_sum(n: int) -> int:
     """Closed form for the alternating excedance sum over length n:
     1 at n = 0, 0 at even n >= 2, and (-1)^((n-1)/2) times the tangent

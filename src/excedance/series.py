@@ -9,11 +9,16 @@ therefore always visible in the result's order.
 
 The named constructors build the generating functions this package works
 with: e^(a*x), the Eulerian-polynomial generator (t-1)/(t - e^(x(t-1))),
-tanh x, 2x/(e^x+1) and x/(e^x-1).
+tanh x, 2x/(e^x+1) and x/(e^x-1).  The last four are quotients, whose
+coefficient at order k does not depend on the truncation: each is one
+grow-only coefficient list, extended by division only when a higher order
+is asked for, and every call returns a prefix of it.  The lists share one
+store of at most eight keys (the three fixed series and phi at up to five
+values of t), which evicts the least recently used key.
 """
 from __future__ import annotations
 
-import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,15 +57,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: Series) -> Series:
-        return series_add(self, other)
-
-    def __sub__(self, other: Series) -> Series:
-        return series_sub(self, other)
-
-    def __mul__(self, other: Series) -> Series:
-        return series_mul(self, other)
-
     def __repr__(self) -> str:
         return f"Series(order={self.order}, {render_series(self)})"
 
@@ -96,6 +92,15 @@ def series_mul(a: Series, b: Series) -> Series:
     return Series(out)
 
 
+def _divide(num: tuple, den: tuple[Fraction, ...], out: list[Fraction]) -> None:
+    # Extend out in place up to len(den) coefficients by solving out*den = num
+    # one coefficient at a time; num reads as zero past its end, and den[0]
+    # must be nonzero.
+    for k in range(len(out), len(den)):
+        acc = sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+        out.append(((num[k] if k < len(num) else 0) - acc) / den[0])
+
+
 def series_reciprocal(a: Series) -> Series:
     """Multiplicative inverse up to the truncation order.
 
@@ -107,11 +112,8 @@ def series_reciprocal(a: Series) -> Series:
         raise ValueError(
             "series with zero constant term is not invertible as a power series"
         )
-    inv0 = Fraction(1) / a.coeffs[0]
-    out = [inv0]
-    for k in range(1, a.order + 1):
-        acc = sum((a.coeffs[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
-        out.append(-inv0 * acc)
+    out: list[Fraction] = []
+    _divide((1,), a.coeffs, out)
     return Series(tuple(out))
 
 
@@ -131,55 +133,67 @@ def exp_linear(a: Fraction | int, order: int) -> Series:
     return Series(tuple(a**k / factorial(k) for k in range(order + 1)))
 
 
+# The named quotients' coefficient lists, least recently used first.
+_QUOTIENTS: dict[object, list[Fraction]] = {}
+_QUOTIENTS_MAX = 8
+
+
+def _quotient_prefix(key: object, order: int, terms: Callable[[int], tuple]) -> Series:
+    # terms(order) gives the numerator and denominator truncated at order;
+    # it runs only when the stored prefix is too short.
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    coeffs = _QUOTIENTS.pop(key, [])
+    if len(coeffs) <= order:
+        _divide(*terms(order), coeffs)
+    _QUOTIENTS[key] = coeffs
+    if len(_QUOTIENTS) > _QUOTIENTS_MAX:
+        del _QUOTIENTS[next(iter(_QUOTIENTS))]
+    return Series(tuple(coeffs[: order + 1]))
+
+
 def phi_series(t: Fraction | int, order: int) -> Series:
     """Truncation of (t-1) / (t - e^(x(t-1))) for t != 1.
 
-    The denominator has constant term t-1, so the reciprocal exists exactly
+    The denominator has constant term t-1, so the quotient exists exactly
     when t != 1.  The exponential view n! * c[n] is the evaluation at t of
     the generating polynomial of the excedance statistic over all
     permutations of length n (sum of t^exc over the symmetric group).
     """
-    # Validate before the cache: a float would hash-collide with the equal
-    # Fraction and silently hit a cached entry.
     t = as_rational(t)
     if t == 1:
         raise ValueError(
             "t=1 degenerates the formula (denominator has zero constant term); "
             "the value there is n! per index"
         )
-    return _phi_series_cached(t, order)
+
+    def terms(n: int):
+        return (t - 1,), series_sub(constant_series(t, n), exp_linear(t - 1, n)).coeffs
+
+    return _quotient_prefix(("phi", t), order, terms)
 
 
-@functools.cache
-def _phi_series_cached(t: Fraction, order: int) -> Series:
-    u = t - 1
-    denominator = series_sub(constant_series(t, order), exp_linear(u, order))
-    return series_scale(u, series_reciprocal(denominator))
-
-
-@functools.cache
 def tanh_series(order: int) -> Series:
     """Truncation of tanh x = (e^x - e^-x) / (e^x + e^-x).
 
     All even-index coefficients cancel exactly in the arithmetic; tanh is
     odd, and the suite checks the zeros rather than forcing them.
     """
-    up = exp_linear(1, order)
-    down = exp_linear(-1, order)
-    return series_mul(series_sub(up, down), series_reciprocal(series_add(up, down)))
+    def terms(n: int):
+        up, down = exp_linear(1, n), exp_linear(-1, n)
+        return series_sub(up, down).coeffs, series_add(up, down).coeffs
+
+    return _quotient_prefix("tanh", order, terms)
 
 
-@functools.cache
 def genocchi_series(order: int) -> Series:
     """Truncation of 2x / (e^x + 1); n! * c[n] is always an integer."""
-    if order == 0:
-        return constant_series(0, 0)
-    denominator = series_add(exp_linear(1, order), constant_series(1, order))
-    two_x = Series((Fraction(0), Fraction(2)) + (Fraction(0),) * (order - 1))
-    return series_mul(two_x, series_reciprocal(denominator))
+    def terms(n: int):
+        return (0, 2), series_add(exp_linear(1, n), constant_series(1, n)).coeffs
+
+    return _quotient_prefix("genocchi", order, terms)
 
 
-@functools.cache
 def bernoulli_series(order: int) -> Series:
     """Truncation of x / (e^x - 1).
 
@@ -188,8 +202,10 @@ def bernoulli_series(order: int) -> Series:
     1/(k+1)!, and the result is its reciprocal.  n! * c[n] is the n-th
     Bernoulli number in the convention where index 1 gives -1/2.
     """
-    q = Series(tuple(Fraction(1, factorial(k + 1)) for k in range(order + 1)))
-    return series_reciprocal(q)
+    def terms(n: int):
+        return (1,), tuple(Fraction(1, factorial(k + 1)) for k in range(n + 1))
+
+    return _quotient_prefix("bernoulli", order, terms)
 
 
 def egf_coeff(s: Series, n: int) -> Fraction:

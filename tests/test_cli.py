@@ -63,6 +63,14 @@ def test_seq_rejects_unknown_name_and_bad_count():
     assert run_cli("seq", "altsum", "--count", "0").returncode == 2
 
 
+def test_seq_refuses_a_count_past_its_cap():
+    for name in ("tangent", "eulerian"):
+        result = run_cli("seq", name, "--count", "501", timeout=15)
+        assert result.returncode == 2
+        assert result.stderr == "error: --count must be within 1..500, got 501\n"
+        assert result.stdout == ""
+
+
 def test_dist_table():
     result = run_cli("dist", "3")
     assert result.returncode == 0
