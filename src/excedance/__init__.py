@@ -27,9 +27,8 @@ from .claims import (
     verify_all,
     verify_claim,
 )
-from .exact import binomial, factorial, format_exact, parse_rational, rational
+from .exact import GuardError, binomial, factorial, format_exact, parse_rational, rational
 from .permutations import (
-    GuardError,
     Permutation,
     alternating_sum_bruteforce,
     count_alternating,

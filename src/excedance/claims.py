@@ -22,12 +22,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable
 
-from .exact import ExactValue, binomial, format_exact
-from .permutations import (
-    GuardError,
-    alternating_sum_bruteforce,
-    eulerian_poly_bruteforce,
-)
+from .exact import DESK_LIMIT, ExactValue, GuardError, binomial, format_exact
+from .permutations import alternating_sum_bruteforce, eulerian_poly_bruteforce
 from .sequences import (
     alternating_sum,
     genocchi,
@@ -45,7 +41,6 @@ from .series import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_N",
     "Claim",
     "Counterexample",
     "ClaimResult",
@@ -57,10 +52,6 @@ __all__ = [
     "verify_all",
     "render_report",
 ]
-
-# Brute-force enumeration cap used by the default verification paths; a
-# larger max_n must be forced explicitly.
-DEFAULT_MAX_N = 8
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -155,7 +146,7 @@ def get_claim(claim_id: str) -> Claim:
         ) from None
 
 
-def verify_claim(claim_id: str, max_n: int = DEFAULT_MAX_N, *, force: bool = False) -> ClaimResult:
+def verify_claim(claim_id: str, max_n: int = DESK_LIMIT, *, force: bool = False) -> ClaimResult:
     """Evaluate one claim on its range intersected with [0, max_n].
 
     max_n beyond the default brute-force cap requires force=True.
@@ -163,10 +154,10 @@ def verify_claim(claim_id: str, max_n: int = DEFAULT_MAX_N, *, force: bool = Fal
     claim = get_claim(claim_id)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    if max_n > DEFAULT_MAX_N and not force:
+    if max_n > DESK_LIMIT and not force:
         raise GuardError(
             f"max_n={max_n} exceeds the default verification cap "
-            f"{DEFAULT_MAX_N}; pass force=True (CLI: --force) to go higher"
+            f"{DESK_LIMIT}; pass force=True (CLI: --force) to go higher"
         )
     hi = min(claim.hi, max_n)
     counterexamples = []
@@ -187,7 +178,7 @@ def verify_claim(claim_id: str, max_n: int = DEFAULT_MAX_N, *, force: bool = Fal
 
 
 def verify_all(
-    max_n: int = DEFAULT_MAX_N,
+    max_n: int = DESK_LIMIT,
     ids: tuple[str, ...] | list[str] | None = None,
     *,
     force: bool = False,

@@ -16,15 +16,19 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .claims import (
-    DEFAULT_MAX_N,
-    FAIL,
-    get_claim,
-    render_report,
-    verify_all,
+from .claims import FAIL, get_claim, render_report, verify_all
+from .exact import (
+    DESK_LIMIT,
+    ENUMERATION_LIMIT,
+    SEQ_COUNT_LIMIT,
+    SERIES_ORDER_LIMIT,
+    GuardError,
+    factorial,
+    format_exact,
+    parse_rational,
+    require_within,
 )
-from .exact import factorial, format_exact, parse_rational
-from .permutations import ENUMERATION_GUARD, GuardError, excedance_distribution
+from .permutations import excedance_distribution
 from .sequences import SEQUENCE_NAMES, eulerian_numbers, sequence_table
 from .series import (
     bernoulli_series,
@@ -34,11 +38,6 @@ from .series import (
     render_series,
     tanh_series,
 )
-
-DIST_GUARD_DEFAULT = 8
-SERIES_ORDER_MAX = 64
-# seq tangent --count 500 takes about 11 s; the cost grows faster than count^2.
-SEQ_COUNT_MAX = 500
 
 # Each constructor takes the order and phi's --t, which only phi reads.
 SERIES = {
@@ -59,8 +58,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     name, count = args.name, args.count
     if name not in SEQUENCE_NAMES:
         return _fail_usage(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
-    if count < 1 or count > SEQ_COUNT_MAX:
-        return _fail_usage(f"--count must be within 1..{SEQ_COUNT_MAX}, got {count}")
+    require_within("--count", count, 1, SEQ_COUNT_LIMIT)
     if name == "eulerian":
         rows = [eulerian_numbers(n) for n in range(1, count + 1)]
         if args.format == "json":
@@ -86,10 +84,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
-    guard = ENUMERATION_GUARD if args.force else DIST_GUARD_DEFAULT
-    if n < 1 or n > guard:
-        hint = "" if args.force else f" (--force raises the cap to {ENUMERATION_GUARD})"
-        return _fail_usage(f"n must be within 1..{guard}{hint}, got {n}")
+    hint = "" if args.force else f" (--force raises the cap to {ENUMERATION_LIMIT})"
+    require_within("n", n, 1, ENUMERATION_LIMIT if args.force else DESK_LIMIT, hint)
     tally = excedance_distribution(n)
     total = sum(tally)
     n_factorial = factorial(n)
@@ -118,8 +114,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     name, order = args.name, args.order
     if name not in SERIES_NAMES:
         return _fail_usage(f"unknown series {name!r}; expected one of {SERIES_NAMES}")
-    if order < 0 or order > SERIES_ORDER_MAX:
-        return _fail_usage(f"--order must be within 0..{SERIES_ORDER_MAX}, got {order}")
+    require_within("--order", order, 0, SERIES_ORDER_LIMIT)
     t = args.t
     if name == "phi":
         if t is None:
@@ -166,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_all(args.max_n, ids, force=args.force)
     except KeyError as exc:
         return _fail_usage(exc.args[0])
-    except (GuardError, ValueError) as exc:
+    except ValueError as exc:
         return _fail_usage(str(exc))
     print(render_report(report, args.format, include_meta=not args.no_meta))
     any_fail = any(r.verdict == FAIL for r in report.results)
@@ -211,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--force", action="store_true",
-        help="raise desk-scale guards (enumeration up to length 12, verification past max-n 8)",
+        help=f"raise desk-scale guards (enumeration up to length {ENUMERATION_LIMIT}, "
+             f"verification past max-n {DESK_LIMIT})",
     )
 
     parser = argparse.ArgumentParser(
@@ -223,17 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", parents=[common], help="print the first values of a sequence")
     p_seq.add_argument("name", help=f"one of {', '.join(SEQUENCE_NAMES)}")
-    p_seq.add_argument("--count", type=int, required=True, help=f"how many values (1..{SEQ_COUNT_MAX})")
+    p_seq.add_argument("--count", type=int, required=True, help=f"how many values (1..{SEQ_COUNT_LIMIT})")
     p_seq.set_defaults(func=cmd_seq)
 
     p_dist = sub.add_parser("dist", parents=[common], help="excedance distribution table")
-    p_dist.add_argument("n", type=int, help="permutation length (1..8, 12 with --force)")
+    p_dist.add_argument("n", type=int, help=f"permutation length (1..{DESK_LIMIT}, "
+                                            f"{ENUMERATION_LIMIT} with --force)")
     p_dist.set_defaults(func=cmd_dist)
 
     p_series = sub.add_parser("series", parents=[common], help="print a truncated series")
     p_series.add_argument("name", help=f"one of {', '.join(SERIES_NAMES)}")
     p_series.add_argument("--order", type=int, required=True,
-                          help=f"truncation order (0..{SERIES_ORDER_MAX})")
+                          help=f"truncation order (0..{SERIES_ORDER_LIMIT})")
     p_series.add_argument("--t", type=_rational_arg, default=None,
                           help="evaluation point for phi (exact rational, not 1)")
     p_series.set_defaults(func=cmd_series)
@@ -241,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="verify registered claims")
     p_verify.add_argument("--claims", default="all",
                           help="'all' or comma-separated claim ids (default: all)")
-    p_verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n",
-                          help=f"index bound (default {DEFAULT_MAX_N}; higher needs --force)")
+    p_verify.add_argument("--max-n", type=int, default=DESK_LIMIT, dest="max_n",
+                          help=f"index bound (default {DESK_LIMIT}; higher needs --force)")
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 1 if any claim FAILs, even expected ones")
     p_verify.set_defaults(func=cmd_verify)
@@ -266,7 +263,10 @@ def _attach_negative_t(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_t(sys.argv[1:] if argv is None else argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GuardError as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ numerator over a strictly positive denominator, so equality is structural.
 The helpers below pin down the conventions the rest of the package leans
 on, in particular that ``binomial`` is a total function returning 0 outside
 the Pascal triangle (the summation convention used by every recurrence
-here).
+here).  The work limits of every other module are tabled here too, so
+each size bound is written once.
 """
 from __future__ import annotations
 
@@ -19,6 +20,13 @@ ExactValue = int | Fraction
 
 __all__ = [
     "ExactValue",
+    "GuardError",
+    "DESK_LIMIT",
+    "ENUMERATION_LIMIT",
+    "UPDOWN_LIMIT",
+    "SERIES_ORDER_LIMIT",
+    "SEQ_COUNT_LIMIT",
+    "require_within",
     "factorial",
     "binomial",
     "rational",
@@ -26,6 +34,30 @@ __all__ = [
     "parse_rational",
     "format_exact",
 ]
+
+
+class GuardError(ValueError):
+    """Raised when a request exceeds a work limit in the table below."""
+
+
+# Work limits, each with its measured cost (2 cores, Python 3.11).
+DESK_LIMIT = 8  # length without --force: 8! = 40320 permutations take 0.06 s
+ENUMERATION_LIMIT = 12  # n! enumeration: 6.5 s at n = 10, 73 s at 11, 13 min at 12
+UPDOWN_LIMIT = 12  # count_alternating visits about n*2^n states: 0.05 s at 12, 1.7 s at 16
+SERIES_ORDER_LIMIT = 64  # series <name> --order 64 takes 0.17 s
+SEQ_COUNT_LIMIT = 500  # seq tangent --count 500 takes 13 s; the cost grows faster than count^2
+
+
+def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> None:
+    """Refuse a value outside lo..hi with a GuardError naming both bounds.
+
+    >>> require_within("--order", 65, 0, SERIES_ORDER_LIMIT)
+    Traceback (most recent call last):
+        ...
+    excedance.exact.GuardError: --order must be within 0..64, got 65
+    """
+    if not lo <= value <= hi:
+        raise GuardError(f"{what} must be within {lo}..{hi}{hint}, got {value}")
 
 
 def factorial(n: int) -> int:

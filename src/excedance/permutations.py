@@ -2,16 +2,17 @@
 
 This module is the ground truth the rest of the package is checked
 against: statistics are computed straight from their definitions, and the
-excedance tallies come from exhaustive enumeration behind an explicit size
-guard (12, i.e. about 4.8e8 permutations; the default verification paths
-stay at length 8).  Each length is enumerated at most once per process:
+excedance tallies come from exhaustive enumeration, refused past
+``ENUMERATION_LIMIT`` in the table of :mod:`excedance.exact` (12, about
+4.8e8 permutations; the default verification paths stay at
+``DESK_LIMIT``, 8).  Each length is enumerated at most once per process:
 the distribution, the alternating sum and the polynomial evaluation all
 read one cached tally.  Up-down permutations are counted by dynamic
-programming over alternating prefixes, which the tests check against
-filtered enumeration up to length 9.  Positions and values are 1-based
-throughout: a permutation is its one-line notation (sigma(1), ...,
-sigma(n)) and length 0 is the empty permutation, which has no excedances
-and counts as alternating.
+programming over alternating prefixes, refused past ``UPDOWN_LIMIT``
+(12), and the tests check the count against filtered enumeration up to
+length 9.  Positions and values are 1-based throughout: a permutation is
+its one-line notation (sigma(1), ..., sigma(n)) and length 0 is the
+empty permutation, which has no excedances and counts as alternating.
 """
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from .exact import as_rational
+from .exact import ENUMERATION_LIMIT, UPDOWN_LIMIT, GuardError, as_rational
 
 __all__ = [
-    "ENUMERATION_GUARD",
     "GuardError",
     "Permutation",
     "excedance_count",
@@ -36,13 +36,7 @@ __all__ = [
     "eulerian_poly_bruteforce",
 ]
 
-ENUMERATION_GUARD = 12
-
 CONVENTIONS = ("standard", "shifted")
-
-
-class GuardError(ValueError):
-    """Raised when an enumeration would exceed the configured size guard."""
 
 
 @dataclass(frozen=True)
@@ -70,14 +64,11 @@ class Permutation:
         return len(self.images)
 
 
-def _check_guard(n: int, guard: int) -> None:
+def _check_guard(n: int, limit: int = ENUMERATION_LIMIT) -> None:
     if n < 0:
         raise ValueError(f"permutation length must be >= 0, got {n}")
-    if n > guard:
-        raise GuardError(
-            f"refusing to enumerate all {n}! permutations of length {n} "
-            f"(guard is {guard}); pass guard={n} to raise it deliberately"
-        )
+    if n > limit:
+        raise GuardError(f"refusing length {n}: this route is limited to length {limit}")
 
 
 def _raw_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -121,9 +112,7 @@ def is_alternating_up_down(p: Permutation) -> bool:
     )
 
 
-def enumerate_permutations(
-    n: int, *, guard: int = ENUMERATION_GUARD
-) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """Yield every permutation of length n exactly once, lexicographically.
 
     >>> [p.images for p in enumerate_permutations(0)]
@@ -134,7 +123,7 @@ def enumerate_permutations(
     >>> first.images, last.images
     ((1, 2, 3), (3, 2, 1))
     """
-    _check_guard(n, guard)
+    _check_guard(n)
     return (Permutation(raw) for raw in _raw_permutations(n))
 
 
@@ -148,7 +137,7 @@ def _excedance_tally(n: int) -> tuple[int, ...]:
     return tuple(tally)
 
 
-def excedance_distribution(n: int, *, guard: int = ENUMERATION_GUARD) -> list[int]:
+def excedance_distribution(n: int) -> list[int]:
     """Tally of permutations of length n by excedance count, k = 0..n-1.
 
     >>> excedance_distribution(3)
@@ -156,11 +145,11 @@ def excedance_distribution(n: int, *, guard: int = ENUMERATION_GUARD) -> list[in
     >>> excedance_distribution(0)
     []
     """
-    _check_guard(n, guard)
+    _check_guard(n)
     return list(_excedance_tally(n)[:n])
 
 
-def alternating_sum_bruteforce(n: int, *, guard: int = ENUMERATION_GUARD) -> int:
+def alternating_sum_bruteforce(n: int) -> int:
     """Sum of (-1)^exc(sigma) over all permutations of length n.
 
     >>> alternating_sum_bruteforce(0)
@@ -170,11 +159,11 @@ def alternating_sum_bruteforce(n: int, *, guard: int = ENUMERATION_GUARD) -> int
     >>> alternating_sum_bruteforce(3)
     -2
     """
-    _check_guard(n, guard)
+    _check_guard(n)
     return sum(-c if k % 2 else c for k, c in enumerate(_excedance_tally(n)))
 
 
-def count_alternating(n: int, *, guard: int = ENUMERATION_GUARD) -> int:
+def count_alternating(n: int) -> int:
     """Number of up-down permutations of length n.
 
     >>> count_alternating(1)
@@ -184,7 +173,7 @@ def count_alternating(n: int, *, guard: int = ENUMERATION_GUARD) -> int:
     >>> count_alternating(5)
     16
     """
-    _check_guard(n, guard)
+    _check_guard(n, UPDOWN_LIMIT)
     # Dynamic programming over alternating prefixes: a state is the bitmask
     # of values used so far and the last value, the prefix length is the
     # popcount of the mask, and each layer maps its states to the number of
@@ -206,11 +195,7 @@ def count_alternating(n: int, *, guard: int = ENUMERATION_GUARD) -> int:
 
 
 def eulerian_poly_bruteforce(
-    n: int,
-    t: Fraction | int,
-    convention: str = "standard",
-    *,
-    guard: int = ENUMERATION_GUARD,
+    n: int, t: Fraction | int, convention: str = "standard"
 ) -> Fraction:
     """Evaluate the excedance generating polynomial of length n at t.
 
@@ -225,12 +210,17 @@ def eulerian_poly_bruteforce(
     >>> eulerian_poly_bruteforce(3, -1, "shifted")
     Fraction(2, 1)
     """
+    _check_guard(n)
+    return _polynomial_at(n, t, convention, _excedance_tally)
+
+
+def _polynomial_at(
+    n: int, t: Fraction | int, convention: str, row: Callable[[int], Sequence[int]]
+) -> Fraction:
+    # Sum of row(n)[k] * t^k, times t under "shifted" except at n = 0.  The
+    # row is read last, so a bad convention or t fails before any enumeration.
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    _check_guard(n, guard)
     t = as_rational(t)
-    tally = _excedance_tally(n)
-    value = sum((count * t**k for k, count in enumerate(tally)), Fraction(0))
-    if convention == "shifted" and n > 0:
-        value = t * value
-    return value
+    value = sum((count * t**k for k, count in enumerate(row(n))), Fraction(0))
+    return t * value if convention == "shifted" and n > 0 else value

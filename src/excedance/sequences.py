@@ -7,8 +7,9 @@ claims module can cross-validate them:
 * Bernoulli numbers: defining recurrence sum_{j<=n} C(n+1,j) B_j = 0,
   checked against the x/(e^x-1) series, whose expansion forces the
   convention where index 1 gives -1/2.
-* Tangent numbers: three routes (Bernoulli formula, tanh series,
-  alternating-permutation count), all required to agree.
+* Tangent numbers: three routes (Bernoulli formula, tanh series, and
+  the up-down permutation count of :func:`count_alternating`, which
+  stops at its own limit), all required to agree.
 * Genocchi numbers: exponential coefficients of 2x/(e^x+1).
 * Alternating excedance sums: closed form in terms of tangent numbers,
   checked against brute-force enumeration.
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactValue, as_rational, binomial
-from .permutations import count_alternating
+from .exact import ExactValue, binomial
+from .permutations import _polynomial_at, count_alternating
 from .series import bernoulli_series, egf_coeff, genocchi_series, tanh_series
 
 __all__ = [
@@ -47,10 +48,6 @@ __all__ = [
 SEQUENCE_NAMES = ("tangent", "bernoulli", "genocchi", "eulerian", "altsum")
 
 TANGENT_ROUTES = ("bernoulli", "series", "counting")
-
-# The counting route enumerates alternating permutations; beyond length 11
-# that stops being a desk-scale computation.
-COUNTING_ROUTE_GUARD = 11
 
 
 @dataclass(frozen=True)
@@ -121,17 +118,10 @@ def eulerian_poly_at(n: int, t: Fraction | int, convention: str = "standard") ->
     >>> eulerian_poly_at(0, 7)
     Fraction(1, 1)
     """
-    if convention not in ("standard", "shifted"):
-        raise ValueError(f"unknown convention {convention!r}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    t = as_rational(t)
-    if n == 0:
-        return Fraction(1)
-    value = sum(
-        (count * t**k for k, count in enumerate(_eulerian_row(n))), Fraction(0)
-    )
-    return t * value if convention == "shifted" else value
+    # Length 0 has one permutation, with no excedances.
+    return _polynomial_at(n, t, convention, lambda m: _eulerian_row(m) if m else (1,))
 
 
 # Memoized values from index 0 upward; grows monotonically, no eviction.
@@ -198,9 +188,10 @@ def tangent(m: int, route: str = "bernoulli") -> int:
     """Tangent number at odd index m, by any of three routes.
 
     Routes: "bernoulli" (explicit formula through Bernoulli numbers),
-    "series" (coefficient extraction from tanh), "counting" (enumeration of
-    up-down permutations of length m, limited to m <= 11).  All routes
-    agree and return a positive integer.
+    "series" (coefficient extraction from tanh), "counting" (the up-down
+    permutations of length m, counted by :func:`count_alternating` and
+    refused past its limit).  All routes agree and return a positive
+    integer.
 
     >>> tangent(1)
     1
@@ -215,12 +206,6 @@ def tangent(m: int, route: str = "bernoulli") -> int:
     if route == "series":
         return _as_integer(tangent_series_value(m), f"tangent({m}) series route")
     if route == "counting":
-        if m > COUNTING_ROUTE_GUARD:
-            raise ValueError(
-                f"counting route enumerates alternating permutations and is "
-                f"guarded at length {COUNTING_ROUTE_GUARD}; use the bernoulli "
-                f"or series route for m={m}"
-            )
         return count_alternating(m)
     raise ValueError(f"route must be one of {TANGENT_ROUTES}, got {route!r}")
 

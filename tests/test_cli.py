@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from excedance.exact import DESK_LIMIT, ENUMERATION_LIMIT, SEQ_COUNT_LIMIT, SERIES_ORDER_LIMIT
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -104,6 +106,51 @@ def test_dist_guard_and_force():
     assert forced.returncode == 0
     assert forced.stdout.endswith("sum = 362880 = 9!\n")
     assert run_cli("dist", "13", "--force").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", str(DESK_LIMIT)),
+    ("series", "tanh", "--order", str(SERIES_ORDER_LIMIT)),
+    ("verify", "--max-n", str(DESK_LIMIT)),
+    ("seq", "eulerian", "--count", str(SEQ_COUNT_LIMIT)),
+])
+def test_each_limit_accepts_its_own_value(argv):
+    result = run_cli(*argv, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("dist", str(DESK_LIMIT + 1)),
+     f"n must be within 1..{DESK_LIMIT} (--force raises the cap to {ENUMERATION_LIMIT}), "
+     f"got {DESK_LIMIT + 1}"),
+    (("dist", str(ENUMERATION_LIMIT + 1), "--force"),
+     f"n must be within 1..{ENUMERATION_LIMIT}, got {ENUMERATION_LIMIT + 1}"),
+    (("series", "tanh", "--order", str(SERIES_ORDER_LIMIT + 1)),
+     f"--order must be within 0..{SERIES_ORDER_LIMIT}, got {SERIES_ORDER_LIMIT + 1}"),
+    (("verify", "--max-n", str(DESK_LIMIT + 1)),
+     f"max_n={DESK_LIMIT + 1} exceeds the default verification cap {DESK_LIMIT}; "
+     "pass force=True (CLI: --force) to go higher"),
+    (("seq", "eulerian", "--count", str(SEQ_COUNT_LIMIT + 1)),
+     f"--count must be within 1..{SEQ_COUNT_LIMIT}, got {SEQ_COUNT_LIMIT + 1}"),
+])
+def test_each_limit_refuses_one_past_it(argv, refusal):
+    result = run_cli(*argv, timeout=15)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {refusal}\n"
+
+
+def test_help_shows_the_limits():
+    # argparse wraps help text to the terminal width, so compare words.
+    dist = " ".join(run_cli("dist", "--help").stdout.split())
+    assert f"permutation length (1..{DESK_LIMIT}, {ENUMERATION_LIMIT} with --force)" in dist
+    verify = " ".join(run_cli("verify", "--help").stdout.split())
+    assert f"default {DESK_LIMIT}; higher needs --force" in verify
+    assert (
+        f"enumeration up to length {ENUMERATION_LIMIT}, verification past max-n {DESK_LIMIT}"
+        in verify
+    )
 
 
 def test_series_tanh_text():

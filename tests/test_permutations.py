@@ -6,6 +6,7 @@ import pytest
 
 from excedance import permutations
 from excedance.claims import verify_all
+from excedance.exact import UPDOWN_LIMIT
 from excedance.permutations import (
     GuardError,
     Permutation,
@@ -17,6 +18,7 @@ from excedance.permutations import (
     excedance_distribution,
     is_alternating_up_down,
 )
+from excedance.sequences import eulerian_poly_at, tangent
 
 
 def test_permutation_validates_bijection():
@@ -92,10 +94,6 @@ def test_guard_refuses_then_can_be_raised():
         enumerate_permutations(13)
     with pytest.raises(GuardError):
         excedance_distribution(13)
-    # Raising the guard deliberately hands back a working stream; only the
-    # first element is taken, nobody exhausts 13!.
-    stream = enumerate_permutations(13, guard=13)
-    assert next(iter(stream)).images == tuple(range(1, 14))
 
 
 def test_negative_length_rejected():
@@ -151,6 +149,29 @@ def test_count_alternating_pins_a000111_to_the_guard():
     assert [count_alternating(n) for n in range(13)] == [
         1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765,
     ]
+
+
+def test_count_alternating_refuses_past_its_own_limit():
+    with pytest.raises(GuardError) as refused:
+        count_alternating(13)
+    message = str(refused.value)
+    assert str(UPDOWN_LIMIT) in message
+    assert "13!" not in message and "enumerate" not in message
+    with pytest.raises(GuardError):
+        tangent(13, "counting")
+
+
+def test_polynomial_routes_check_their_arguments_before_reading_a_row(monkeypatch):
+    def unread(n):
+        pytest.fail(f"tally of length {n} read for a refused call")
+
+    monkeypatch.setattr(permutations, "_excedance_tally", unread)
+    with pytest.raises(ValueError):
+        eulerian_poly_bruteforce(12, 2, "bogus")
+    with pytest.raises(TypeError):
+        eulerian_poly_bruteforce(12, 0.5)
+    with pytest.raises(ValueError):
+        eulerian_poly_at(3, 2, "bogus")
 
 
 def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
