@@ -297,9 +297,11 @@ def _eval_even_parity(n: int) -> Pairs:
 def _eval_tangent_routes(m: int) -> Pairs:
     if m % 2 == 0:
         return []
-    pairs: Pairs = [(tangent(m, "bernoulli"), tangent(m, "series"))]
-    pairs.append((tangent(m, "series"), tangent(m, "counting")))
-    return pairs
+    return [
+        (tangent(m, "integer"), tangent(m, "bernoulli")),
+        (tangent(m, "bernoulli"), tangent(m, "series")),
+        (tangent(m, "series"), tangent(m, "counting")),
+    ]
 
 
 def _eval_integrality(n: int) -> Pairs:

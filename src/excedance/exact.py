@@ -45,7 +45,7 @@ DESK_LIMIT = 8  # length without --force: 8! = 40320 permutations take 0.06 s
 ENUMERATION_LIMIT = 12  # n! enumeration: 6.5 s at n = 10, 73 s at 11, 13 min at 12
 UPDOWN_LIMIT = 12  # count_alternating visits about n*2^n states: 0.05 s at 12, 1.7 s at 16
 SERIES_ORDER_LIMIT = 64  # series <name> --order 64 takes 0.17 s
-SEQ_COUNT_LIMIT = 500  # seq tangent --count 500 takes 13 s; the cost grows faster than count^2
+SEQ_COUNT_LIMIT = 500  # seq genocchi --count 500, the slowest seq, takes 5.8 s; tangent 0.33 s
 
 
 def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> None:

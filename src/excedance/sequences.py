@@ -7,20 +7,23 @@ claims module can cross-validate them:
 * Bernoulli numbers: defining recurrence sum_{j<=n} C(n+1,j) B_j = 0,
   checked against the x/(e^x-1) series, whose expansion forces the
   convention where index 1 gives -1/2.
-* Tangent numbers: three routes (Bernoulli formula, tanh series, and
-  the up-down permutation count of :func:`count_alternating`, which
-  stops at its own limit), all required to agree.
+* Tangent numbers: four routes, all required to agree: the integer-only
+  Knuth-Buckholtz recurrence (the default), the Bernoulli formula, the
+  tanh series, and the up-down permutation count of
+  :func:`count_alternating`, which stops at its own limit.
 * Genocchi numbers: exponential coefficients of 2x/(e^x+1).
 * Alternating excedance sums: closed form in terms of tangent numbers,
   checked against brute-force enumeration.
 
-The Bernoulli numbers, the Eulerian rows and the series prefixes are each
-grown once, and values are read from them.  Everything is exact, and any
-route that passes through rationals asserts integrality before returning
-an int, so a convention slip fails loudly instead of rounding.
+The Bernoulli numbers, the tangent numbers, the Eulerian rows and the
+series prefixes are each grown once, and values are read from them.
+Everything is exact, and any route that passes through rationals asserts
+integrality before returning an int, so a convention slip fails loudly
+instead of rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +50,7 @@ __all__ = [
 
 SEQUENCE_NAMES = ("tangent", "bernoulli", "genocchi", "eulerian", "altsum")
 
-TANGENT_ROUTES = ("bernoulli", "series", "counting")
+TANGENT_ROUTES = ("integer", "bernoulli", "series", "counting")
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,8 @@ def bernoulli(n: int) -> Fraction:
     """Bernoulli number at index n, convention index-1 = -1/2.
 
     Defining recurrence: sum_{j=0..n} C(n+1, j) B_j = 0 with B_0 = 1.
+    Each step sums the nonzero earlier terms as one integer numerator over
+    the lcm of their denominators and divides once.
 
     >>> bernoulli(0)
     Fraction(1, 1)
@@ -144,10 +149,12 @@ def bernoulli(n: int) -> Fraction:
         raise ValueError(f"index must be >= 0, got {n}")
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
+        terms = [(j, b) for j, b in enumerate(_BERNOULLI) if b]
+        lcm = math.lcm(*(b.denominator for _, b in terms))
         acc = sum(
-            (binomial(m + 1, j) * _BERNOULLI[j] for j in range(m)), Fraction(0)
+            binomial(m + 1, j) * b.numerator * (lcm // b.denominator) for j, b in terms
         )
-        _BERNOULLI.append(-acc / (m + 1))
+        _BERNOULLI.append(Fraction(-acc, lcm * (m + 1)))
     return _BERNOULLI[n]
 
 
@@ -178,16 +185,40 @@ def tangent_series_value(m: int) -> Fraction:
     return sign * egf_coeff(tanh_series(m), m)
 
 
+# T(2k-1) at index k-1.  A request past the end rebuilds it at least
+# doubled, so any run of requests up to N costs O(N^2) steps in total.
+_TANGENTS: list[int] = []
+
+
+def _grow_tangents(k: int) -> None:
+    """Make _TANGENTS hold T(1), T(3), ..., T(2k-1), in integers only, by
+    the Knuth-Buckholtz recurrence as given by Brent and Harvey
+    (arXiv:1108.0286): T_1 = 1, T_i = (i-1) T_(i-1), then for i = 2..N and
+    j = i..N, T_j = (j-i) T_(j-1) + (j-i+2) T_j.
+    """
+    if k <= len(_TANGENTS):
+        return
+    size = max(k, 2 * len(_TANGENTS))
+    t = [1] * size
+    for i in range(1, size):
+        t[i] = i * t[i - 1]
+    for i in range(1, size):
+        for j in range(i, size):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    _TANGENTS[:] = t
+
+
 def _as_integer(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"{what} produced a non-integer value {value}")
     return value.numerator
 
 
-def tangent(m: int, route: str = "bernoulli") -> int:
-    """Tangent number at odd index m, by any of three routes.
+def tangent(m: int, route: str = "integer") -> int:
+    """Tangent number at odd index m, by any of four routes.
 
-    Routes: "bernoulli" (explicit formula through Bernoulli numbers),
+    Routes: "integer" (the Knuth-Buckholtz recurrence, no rationals at
+    all), "bernoulli" (explicit formula through Bernoulli numbers),
     "series" (coefficient extraction from tanh), "counting" (the up-down
     permutations of length m, counted by :func:`count_alternating` and
     refused past its limit).  All routes agree and return a positive
@@ -200,7 +231,10 @@ def tangent(m: int, route: str = "bernoulli") -> int:
     >>> tangent(5, "series")
     16
     """
-    _require_odd(m)
+    k = _require_odd(m)
+    if route == "integer":
+        _grow_tangents(k)
+        return _TANGENTS[k - 1]
     if route == "bernoulli":
         return _as_integer(tangent_bernoulli_value(m), f"tangent({m}) bernoulli route")
     if route == "series":
@@ -249,7 +283,7 @@ def alternating_sum(n: int) -> int:
     if n % 2 == 0:
         return 0
     sign = -1 if ((n - 1) // 2) % 2 else 1
-    return sign * tangent(n, "bernoulli")
+    return sign * tangent(n)
 
 
 def sequence_table(name: str, count: int) -> SequenceTable:
@@ -263,8 +297,9 @@ def sequence_table(name: str, count: int) -> SequenceTable:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if name == "tangent":
+        _grow_tangents(count)  # one recurrence build serves the whole table
         entries = [
-            SequenceEntry(2 * i - 1, tangent(2 * i - 1), "bernoulli")
+            SequenceEntry(2 * i - 1, tangent(2 * i - 1), "integer")
             for i in range(1, count + 1)
         ]
     elif name == "bernoulli":
@@ -274,6 +309,7 @@ def sequence_table(name: str, count: int) -> SequenceTable:
             SequenceEntry(i, genocchi(i), "egf-series") for i in range(1, count + 1)
         ]
     elif name == "altsum":
+        _grow_tangents(count // 2)
         entries = [
             SequenceEntry(i, alternating_sum(i), "closed-form") for i in range(count)
         ]

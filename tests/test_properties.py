@@ -4,11 +4,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excedance import series
+from excedance import sequences, series
 from excedance.cli import SERIES
 from excedance.exact import factorial
 from excedance.permutations import eulerian_poly_bruteforce
-from excedance.sequences import eulerian_poly_at
+from excedance.sequences import eulerian_poly_at, tangent
 from excedance.series import (
     Series,
     constant_series,
@@ -95,3 +95,26 @@ def test_named_series_are_prefixes_of_one_quotient(name, t, orders):
         assert s.coeffs == longest.coeffs[: s.order + 1]
         numerator, denominator = _quotient_terms(name, t, s.order)
         assert series_mul(s, denominator) == numerator
+
+
+odd = st.integers(min_value=1, max_value=200).map(lambda k: 2 * k - 1)
+
+
+@settings(deadline=None)
+@given(m=odd)
+def test_tangent_routes_agree_wherever_defined(m):
+    value = tangent(m, "integer")
+    assert value == tangent(m, "bernoulli")
+    if m <= 64:
+        assert value == tangent(m, "series")
+    if m <= 11:
+        assert value == tangent(m, "counting")
+
+
+@settings(deadline=None)
+@given(ms=st.lists(odd, min_size=1, max_size=8))
+def test_integer_tangents_grow_at_most_twice_the_request(ms):
+    expected = [tangent(m, "bernoulli") for m in ms]
+    sequences._TANGENTS.clear()  # grow from empty, in the drawn order
+    assert [tangent(m, "integer") for m in ms] == expected
+    assert len(sequences._TANGENTS) <= 2 * max((m + 1) // 2 for m in ms)

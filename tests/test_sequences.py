@@ -60,9 +60,9 @@ def test_bernoulli_values():
     assert bernoulli(10) == Fraction(5, 66)
 
 
-def test_bernoulli_recurrence_matches_series_to_20():
-    b = bernoulli_series(20)
-    for n in range(21):
+def test_bernoulli_recurrence_matches_series_to_64():
+    b = bernoulli_series(64)
+    for n in range(65):
         assert bernoulli(n) == egf_coeff(b, n)
 
 
@@ -73,15 +73,16 @@ def test_bernoulli_odd_indices_vanish():
 
 def test_tangent_three_routes_agree_to_11():
     for m in range(1, 12, 2):
+        i = tangent(m, "integer")
         b = tangent(m, "bernoulli")
         s = tangent(m, "series")
         c = tangent(m, "counting")
-        assert b == s == c == TANGENT_KNOWN[m]
+        assert i == b == s == c == TANGENT_KNOWN[m]
 
 
 def test_tangent_two_routes_agree_to_25():
     for m in range(1, 26, 2):
-        assert tangent(m, "bernoulli") == tangent(m, "series")
+        assert tangent(m, "integer") == tangent(m, "bernoulli") == tangent(m, "series")
 
 
 def test_tangent_values_positive():
@@ -104,6 +105,12 @@ def test_tangent_rejects_even_or_bad_route():
         tangent(3, "guess")
     with pytest.raises(ValueError):
         tangent(13, "counting")
+
+
+def test_genocchi_matches_bernoulli_to_150():
+    # G_n = 2(1 - 2^n) B_n ties the egf series route to the recurrence.
+    for n in range(1, 151):
+        assert genocchi(n) == 2 * (1 - 2**n) * bernoulli(n)
 
 
 def test_genocchi_values():
@@ -148,7 +155,7 @@ def test_sequence_table_values_and_routes():
     tangents = sequence_table("tangent", 4)
     assert tangents.values() == [1, 2, 16, 272]
     assert [e.index for e in tangents.entries] == [1, 3, 5, 7]
-    assert all(e.route == "bernoulli" for e in tangents.entries)
+    assert all(e.route == "integer" for e in tangents.entries)
 
     genocchis = sequence_table("genocchi", 3)
     assert genocchis.values() == [1, -1, 0]
