@@ -1,8 +1,8 @@
 """Registry of asserted identities, each verified by independent routes.
 
 Every claim pairs a left and a right computation that share nothing beyond
-the exact-arithmetic primitives: series extraction against brute-force
-enumeration, closed forms against recurrences, and so on.  A claim is
+the exact-arithmetic primitives: series extraction against the
+excedance tally, closed forms against recurrences, and so on.  A claim is
 evaluated per index over a finite range; any index where the two sides
 disagree becomes a counterexample, and the verdict is FAIL exactly when at
 least one counterexample exists.

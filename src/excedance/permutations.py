@@ -1,13 +1,14 @@
-"""Desk-scale enumeration of symmetric groups and permutation statistics.
+"""Desk-scale permutation statistics and the enumeration oracle.
 
-This module is the ground truth the rest of the package is checked
-against: statistics are computed straight from their definitions, and the
-excedance tallies come from exhaustive enumeration, refused past
-``ENUMERATION_LIMIT`` in the table of :mod:`excedance.exact` (12, about
-4.8e8 permutations; the default verification paths stay at
-``DESK_LIMIT``, 8).  Each length is enumerated at most once per process:
-the distribution, the alternating sum and the polynomial evaluation all
-read one cached tally.  Up-down permutations are counted by dynamic
+Statistics are computed straight from their definitions, and
+``enumerate_permutations`` yields every permutation of a length, the
+exhaustive oracle the tests check the counting routes against.  The
+excedance tallies come from an open-arc dynamic program over Laguerre
+histories in O(n^3) integer steps, with no cache and no enumeration; the
+distribution, the alternating sum and the polynomial evaluation all read
+it.  It is refused past ``ENUMERATION_LIMIT`` in the table of
+:mod:`excedance.exact` (12; the default verification paths stay at
+``DESK_LIMIT``, 8).  Up-down permutations are counted by dynamic
 programming over alternating prefixes, refused past ``UPDOWN_LIMIT``
 (12), and the tests check the count against filtered enumeration up to
 length 9.  Positions and values are 1-based throughout: a permutation is
@@ -16,7 +17,6 @@ empty permutation, which has no excedances and counts as alternating.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,15 +71,6 @@ def _check_guard(n: int, limit: int = ENUMERATION_LIMIT) -> None:
         raise GuardError(f"refusing length {n}: this route is limited to length {limit}")
 
 
-def _raw_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    # itertools.permutations of a sorted input is lexicographic.
-    return itertools.permutations(range(1, n + 1))
-
-
-def _excedances(images: tuple[int, ...]) -> int:
-    return sum(1 for i, v in enumerate(images, 1) if v > i)
-
-
 def excedance_count(p: Permutation) -> int:
     """Number of positions i with sigma(i) > i.
 
@@ -90,7 +81,7 @@ def excedance_count(p: Permutation) -> int:
     >>> excedance_count(Permutation((2, 3, 1)))
     2
     """
-    return _excedances(p.images)
+    return sum(1 for i, v in enumerate(p.images, 1) if v > i)
 
 
 def is_alternating_up_down(p: Permutation) -> bool:
@@ -124,17 +115,35 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     ((1, 2, 3), (3, 2, 1))
     """
     _check_guard(n)
-    return (Permutation(raw) for raw in _raw_permutations(n))
+    # itertools.permutations of a sorted input is lexicographic.
+    return (Permutation(raw) for raw in itertools.permutations(range(1, n + 1)))
 
 
-@functools.cache
 def _excedance_tally(n: int) -> tuple[int, ...]:
     # Entry k counts the permutations of length n with k excedances, for
     # k = 0..n; entry n is 0 except for the empty permutation (n = 0).
-    tally = [0] * (n + 1)
-    for raw in _raw_permutations(n):
-        tally[_excedances(raw)] += 1
-    return tuple(tally)
+    # Open-arc dynamic programming over Laguerre histories (Flajolet 1980):
+    # step i places position i and value i.  An open arc is a position
+    # still waiting for a larger value, paired in number with a value still
+    # waiting for a later position; arcs[j][k] counts the ways to reach j
+    # open arcs with k excedances.  Position i is an excedance exactly when
+    # it opens.  States with more open arcs than steps left never close.
+    arcs = [[1] + [0] * n]
+    for i in range(1, n + 1):
+        grown = [[0] * (n + 1) for _ in range(len(arcs) + 1)]
+        for j, row in enumerate(arcs):
+            for k, ways in enumerate(row[:i]):
+                # Fix i, or close position i on one of j values and open value i.
+                grown[j][k] += (j + 1) * ways
+                # Open position i and close value i on one of j positions.
+                grown[j][k + 1] += j * ways
+                # Open both.
+                grown[j + 1][k + 1] += ways
+                if j:
+                    # Close both.
+                    grown[j - 1][k] += j * j * ways
+        arcs = grown[: n - i + 1]
+    return tuple(arcs[0])
 
 
 def excedance_distribution(n: int) -> list[int]:

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from excedance.exact import DESK_LIMIT, ENUMERATION_LIMIT, SEQ_COUNT_LIMIT, SERIES_ORDER_LIMIT
+from excedance.exact import (
+    DESK_LIMIT,
+    ENUMERATION_LIMIT,
+    SEQ_COUNT_LIMIT,
+    SERIES_ORDER_LIMIT,
+    factorial,
+)
+from excedance.sequences import eulerian_numbers
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -106,6 +113,14 @@ def test_dist_guard_and_force():
     assert forced.returncode == 0
     assert forced.stdout.endswith("sum = 362880 = 9!\n")
     assert run_cli("dist", "13", "--force").returncode == 2
+
+
+def test_dist_at_the_forced_limit_is_the_eulerian_row():
+    result = run_cli("dist", str(ENUMERATION_LIMIT), "--force", "--format", "json", timeout=15)
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert [int(row["count"]) for row in doc["rows"]] == eulerian_numbers(ENUMERATION_LIMIT)
+    assert doc["sum"] == doc["factorial"] == str(factorial(ENUMERATION_LIMIT))
 
 
 @pytest.mark.parametrize("argv", [

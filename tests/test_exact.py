@@ -7,7 +7,6 @@ from excedance.exact import (
     factorial,
     format_exact,
     parse_rational,
-    rational,
 )
 
 
@@ -46,20 +45,6 @@ def test_binomial_pascal_rule_up_to_30():
     for n in range(1, 31):
         for k in range(0, n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_rational_normalization():
-    assert rational(2, 4) == Fraction(1, 2)
-    half = rational(1, -2)
-    assert half == Fraction(-1, 2)
-    assert half.denominator == 2 and half.numerator == -1
-    zero = rational(0, 7)
-    assert zero.numerator == 0 and zero.denominator == 1
-
-
-def test_rational_zero_denominator_refuses():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 def test_field_axioms_hold_structurally():

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -18,7 +19,7 @@ from excedance.permutations import (
     excedance_distribution,
     is_alternating_up_down,
 )
-from excedance.sequences import eulerian_poly_at, tangent
+from excedance.sequences import eulerian_numbers, eulerian_poly_at, tangent
 
 
 def test_permutation_validates_bijection():
@@ -175,18 +176,27 @@ def test_polynomial_routes_check_their_arguments_before_reading_a_row(monkeypatc
 
 
 def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
+    # The tallies come from the open-arc DP, so verify enumerates nothing.
     calls = []
-    raw = permutations._raw_permutations
+    raw = itertools.permutations
 
-    def counting(n):
-        calls.append(n)
-        return raw(n)
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
 
-    permutations._excedance_tally.cache_clear()
-    monkeypatch.setattr(permutations, "_raw_permutations", counting)
+    monkeypatch.setattr(itertools, "permutations", counting)
     verify_all(8)
-    assert calls
-    assert len(calls) == len(set(calls))
+    assert calls == []
+
+
+def test_excedance_tally_matches_enumeration_and_the_triangle():
+    for n in range(9):
+        counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
+        assert permutations._excedance_tally(n) == tuple(counts[k] for k in range(n + 1))
+    for n in (12, 50, 100):
+        row = permutations._excedance_tally(n)
+        assert list(row[:n]) == eulerian_numbers(n)
+        assert row[n] == 0 and sum(row) == factorial(n)
 
 
 def test_even_length_counts_match_down_up_recount():
