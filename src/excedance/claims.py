@@ -149,7 +149,7 @@ def get_claim(claim_id: str) -> Claim:
 def verify_claim(claim_id: str, max_n: int = DESK_LIMIT, *, force: bool = False) -> ClaimResult:
     """Evaluate one claim on its range intersected with [0, max_n].
 
-    max_n beyond the default brute-force cap requires force=True.
+    max_n beyond the desk limit (``DESK_LIMIT``) requires force=True.
     """
     claim = get_claim(claim_id)
     if max_n < 0:
@@ -319,16 +319,13 @@ def _eval_genocchi_relation(n: int) -> Pairs:
     return [(alternating_sum_bruteforce(n), sign * genocchi(n + 1))]
 
 
-# Self-contained recurrence route: seeds index 1 and consumes only its own
-# earlier values, never the series.  Grows from index 0 (an empty sum, 0).
-_CLAIMED_G: list[int] = [0, 1]
-
-
 def _claimed_genocchi_recurrence(n: int) -> int:
-    while len(_CLAIMED_G) <= n:
-        m = len(_CLAIMED_G)
-        _CLAIMED_G.append(-sum(binomial(m, k) * _CLAIMED_G[k] for k in range(1, m)))
-    return _CLAIMED_G[n]
+    # Self-contained recurrence route: seeds index 1 and consumes only its
+    # own earlier values, never the series.  Index 0 is an empty sum, 0.
+    g = [0, 1]
+    for m in range(2, n + 1):
+        g.append(-sum(binomial(m, k) * g[k] for k in range(1, m)))
+    return g[n]
 
 
 def _eval_genocchi_recurrence(n: int) -> Pairs:

@@ -29,7 +29,7 @@ from .exact import (
     require_within,
 )
 from .permutations import excedance_distribution
-from .sequences import SEQUENCE_NAMES, eulerian_numbers, sequence_table
+from .sequences import SEQUENCE_NAMES, eulerian_rows, sequence_table
 from .series import (
     bernoulli_series,
     egf_coeff,
@@ -60,7 +60,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
         return _fail_usage(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
     require_within("--count", count, 1, SEQ_COUNT_LIMIT)
     if name == "eulerian":
-        rows = [eulerian_numbers(n) for n in range(1, count + 1)]
+        rows = list(eulerian_rows(count))
         if args.format == "json":
             doc = {
                 "name": name,

@@ -44,7 +44,7 @@ DESK_LIMIT = 8  # length without --force; the test oracle enumerates 8! permutat
 ENUMERATION_LIMIT = 12  # tally DP 0.2 ms at 12 (dist 12 --force 0.14 s); the oracle: 16 s at 10
 UPDOWN_LIMIT = 12  # count_alternating visits about n*2^n states: 0.05 s at 12, 1.7 s at 16
 SERIES_ORDER_LIMIT = 64  # series <name> --order 64 takes 0.17 s
-SEQ_COUNT_LIMIT = 500  # seq genocchi --count 500, the slowest seq, takes 5.8 s; tangent 0.33 s
+SEQ_COUNT_LIMIT = 500  # seq genocchi --count 500, the slowest seq, takes 1.8 s; tangent 0.15 s
 
 
 def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> None:

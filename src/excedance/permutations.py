@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .exact import ENUMERATION_LIMIT, UPDOWN_LIMIT, GuardError, as_rational
+from .exact import ENUMERATION_LIMIT, UPDOWN_LIMIT, GuardError, as_rational, require_within
 
 __all__ = [
     "GuardError",
@@ -62,13 +62,6 @@ class Permutation:
 
     def __len__(self) -> int:
         return len(self.images)
-
-
-def _check_guard(n: int, limit: int = ENUMERATION_LIMIT) -> None:
-    if n < 0:
-        raise ValueError(f"permutation length must be >= 0, got {n}")
-    if n > limit:
-        raise GuardError(f"refusing length {n}: this route is limited to length {limit}")
 
 
 def excedance_count(p: Permutation) -> int:
@@ -114,7 +107,7 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     >>> first.images, last.images
     ((1, 2, 3), (3, 2, 1))
     """
-    _check_guard(n)
+    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     # itertools.permutations of a sorted input is lexicographic.
     return (Permutation(raw) for raw in itertools.permutations(range(1, n + 1)))
 
@@ -154,12 +147,13 @@ def excedance_distribution(n: int) -> list[int]:
     >>> excedance_distribution(0)
     []
     """
-    _check_guard(n)
+    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     return list(_excedance_tally(n)[:n])
 
 
 def alternating_sum_bruteforce(n: int) -> int:
-    """Sum of (-1)^exc(sigma) over all permutations of length n.
+    """Sum of (-1)^exc(sigma) over all permutations of length n, read from
+    the open-arc tally (no enumeration, despite the name).
 
     >>> alternating_sum_bruteforce(0)
     1
@@ -168,7 +162,7 @@ def alternating_sum_bruteforce(n: int) -> int:
     >>> alternating_sum_bruteforce(3)
     -2
     """
-    _check_guard(n)
+    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     return sum(-c if k % 2 else c for k, c in enumerate(_excedance_tally(n)))
 
 
@@ -182,7 +176,7 @@ def count_alternating(n: int) -> int:
     >>> count_alternating(5)
     16
     """
-    _check_guard(n, UPDOWN_LIMIT)
+    require_within("permutation length", n, 0, UPDOWN_LIMIT)
     # Dynamic programming over alternating prefixes: a state is the bitmask
     # of values used so far and the last value, the prefix length is the
     # popcount of the mask, and each layer maps its states to the number of
@@ -206,7 +200,8 @@ def count_alternating(n: int) -> int:
 def eulerian_poly_bruteforce(
     n: int, t: Fraction | int, convention: str = "standard"
 ) -> Fraction:
-    """Evaluate the excedance generating polynomial of length n at t.
+    """Evaluate the excedance generating polynomial of length n at t, from
+    the open-arc tally (no enumeration, despite the name).
 
     "standard" sums t^exc(sigma); "shifted" sums t^(exc(sigma)+1), except
     that the shifted value for n = 0 is defined as 1 so that evaluation at
@@ -219,7 +214,7 @@ def eulerian_poly_bruteforce(
     >>> eulerian_poly_bruteforce(3, -1, "shifted")
     Fraction(2, 1)
     """
-    _check_guard(n)
+    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     return _polynomial_at(n, t, convention, _excedance_tally)
 
 
@@ -227,7 +222,7 @@ def _polynomial_at(
     n: int, t: Fraction | int, convention: str, row: Callable[[int], Sequence[int]]
 ) -> Fraction:
     # Sum of row(n)[k] * t^k, times t under "shifted" except at n = 0.  The
-    # row is read last, so a bad convention or t fails before any enumeration.
+    # row is read last, so a bad convention or t fails before any tally.
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     t = as_rational(t)

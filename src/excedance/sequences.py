@@ -3,7 +3,7 @@
 Every sequence here has at least two independent computation routes so the
 claims module can cross-validate them:
 
-* Eulerian numbers: triangle recurrence, checked against exhaustive tallies.
+* Eulerian numbers: triangle recurrence, checked against the open-arc tally.
 * Bernoulli numbers: defining recurrence sum_{j<=n} C(n+1,j) B_j = 0,
   checked against the x/(e^x-1) series, whose expansion forces the
   convention where index 1 gives -1/2.
@@ -13,17 +13,19 @@ claims module can cross-validate them:
   :func:`count_alternating`, which stops at its own limit.
 * Genocchi numbers: exponential coefficients of 2x/(e^x+1).
 * Alternating excedance sums: closed form in terms of tangent numbers,
-  checked against brute-force enumeration.
+  checked against the open-arc tally.
 
-The Bernoulli numbers, the tangent numbers, the Eulerian rows and the
-series prefixes are each grown once, and values are read from them.
-Everything is exact, and any route that passes through rationals asserts
-integrality before returning an int, so a convention slip fails loudly
-instead of rounding.
+Each sequence is one private prefix function that computes from scratch
+and returns a list; a scalar reads its index from the matching prefix,
+and a table reads each prefix once.  Only the series prefixes of
+:mod:`excedance.series` are kept between calls.  Everything is exact,
+and any route that passes through rationals asserts integrality before
+returning an int, so a convention slip fails loudly instead of rounding.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ __all__ = [
     "SequenceTable",
     "SEQUENCE_NAMES",
     "TANGENT_ROUTES",
+    "eulerian_rows",
     "eulerian_numbers",
     "eulerian_poly_at",
     "bernoulli",
@@ -71,29 +74,27 @@ class SequenceTable:
         return [e.value for e in self.entries]
 
 
-# Memoized triangle rows; grows monotonically, row m at index m-1.
-_EULERIAN_ROWS: list[tuple[int, ...]] = [(1,)]
+def eulerian_rows(count: int) -> Iterator[list[int]]:
+    """Rows 1..count of the Eulerian triangle, each a fresh list.
 
+    Each row comes from the one before by the triangle recurrence
+    E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1), read from row 0 = [1].
 
-def _eulerian_row(n: int) -> tuple[int, ...]:
-    while len(_EULERIAN_ROWS) < n:
-        m = len(_EULERIAN_ROWS) + 1
-        prev = _EULERIAN_ROWS[-1]
-        row = []
-        for k in range(m):
-            up = (k + 1) * prev[k] if k < m - 1 else 0
-            over = (m - k) * prev[k - 1] if k >= 1 else 0
-            row.append(up + over)
-        _EULERIAN_ROWS.append(tuple(row))
-    return _EULERIAN_ROWS[n - 1]
+    >>> list(eulerian_rows(3))
+    [[1], [1, 1], [1, 4, 1]]
+    """
+    padded = [0, 1, 0]
+    for n in range(1, count + 1):
+        row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
+        padded = [0, *row, 0]
+        yield row
 
 
 def eulerian_numbers(n: int) -> list[int]:
     """Row n of the Eulerian triangle: entry k counts permutations of
     length n with exactly k excedances.
 
-    Computed by the triangle recurrence
-    E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1) with E(1,0) = 1.
+    The last of :func:`eulerian_rows`.
 
     >>> eulerian_numbers(1)
     [1]
@@ -106,9 +107,10 @@ def eulerian_numbers(n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
-    if n == 0:
-        return []
-    return list(_eulerian_row(n))
+    row: list[int] = []
+    for row in eulerian_rows(n):
+        pass
+    return row
 
 
 def eulerian_poly_at(n: int, t: Fraction | int, convention: str = "standard") -> Fraction:
@@ -124,19 +126,28 @@ def eulerian_poly_at(n: int, t: Fraction | int, convention: str = "standard") ->
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     # Length 0 has one permutation, with no excedances.
-    return _polynomial_at(n, t, convention, lambda m: _eulerian_row(m) if m else (1,))
+    return _polynomial_at(n, t, convention, lambda m: eulerian_numbers(m) if m else (1,))
 
 
-# Memoized values from index 0 upward; grows monotonically, no eviction.
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+def _bernoullis(count: int) -> list[Fraction]:
+    # B_0 .. B_(count-1) for count >= 1, by the defining recurrence
+    # sum_{j=0..m} C(m+1, j) B_j = 0.  Each step sums the nonzero earlier
+    # terms as one integer numerator over the lcm of their denominators and
+    # divides once.
+    values = [Fraction(1)]
+    for m in range(1, count):
+        terms = [(j, b) for j, b in enumerate(values) if b]
+        lcm = math.lcm(*(b.denominator for _, b in terms))
+        acc = sum(
+            binomial(m + 1, j) * b.numerator * (lcm // b.denominator) for j, b in terms
+        )
+        values.append(Fraction(-acc, lcm * (m + 1)))
+    return values
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number at index n, convention index-1 = -1/2.
-
-    Defining recurrence: sum_{j=0..n} C(n+1, j) B_j = 0 with B_0 = 1.
-    Each step sums the nonzero earlier terms as one integer numerator over
-    the lcm of their denominators and divides once.
+    """Bernoulli number at index n, convention index-1 = -1/2, from the
+    defining recurrence sum_{j=0..n} C(n+1, j) B_j = 0 with B_0 = 1.
 
     >>> bernoulli(0)
     Fraction(1, 1)
@@ -147,15 +158,7 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        terms = [(j, b) for j, b in enumerate(_BERNOULLI) if b]
-        lcm = math.lcm(*(b.denominator for _, b in terms))
-        acc = sum(
-            binomial(m + 1, j) * b.numerator * (lcm // b.denominator) for j, b in terms
-        )
-        _BERNOULLI.append(Fraction(-acc, lcm * (m + 1)))
-    return _BERNOULLI[n]
+    return _bernoullis(n + 1)[n]
 
 
 def _require_odd(m: int) -> int:
@@ -185,27 +188,19 @@ def tangent_series_value(m: int) -> Fraction:
     return sign * egf_coeff(tanh_series(m), m)
 
 
-# T(2k-1) at index k-1.  A request past the end rebuilds it at least
-# doubled, so any run of requests up to N costs O(N^2) steps in total.
-_TANGENTS: list[int] = []
-
-
-def _grow_tangents(k: int) -> None:
-    """Make _TANGENTS hold T(1), T(3), ..., T(2k-1), in integers only, by
-    the Knuth-Buckholtz recurrence as given by Brent and Harvey
-    (arXiv:1108.0286): T_1 = 1, T_i = (i-1) T_(i-1), then for i = 2..N and
-    j = i..N, T_j = (j-i) T_(j-1) + (j-i+2) T_j.
+def _tangents(k: int) -> list[int]:
+    """T(1), T(3), ..., T(2k-1), in integers only, by the Knuth-Buckholtz
+    recurrence as given by Brent and Harvey (arXiv:1108.0286): T_1 = 1,
+    T_i = (i-1) T_(i-1), then for i = 2..k and j = i..k,
+    T_j = (j-i) T_(j-1) + (j-i+2) T_j.
     """
-    if k <= len(_TANGENTS):
-        return
-    size = max(k, 2 * len(_TANGENTS))
-    t = [1] * size
-    for i in range(1, size):
+    t = [1] * k
+    for i in range(1, k):
         t[i] = i * t[i - 1]
-    for i in range(1, size):
-        for j in range(i, size):
+    for i in range(1, k):
+        for j in range(i, k):
             t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-    _TANGENTS[:] = t
+    return t
 
 
 def _as_integer(value: Fraction, what: str) -> int:
@@ -233,8 +228,7 @@ def tangent(m: int, route: str = "integer") -> int:
     """
     k = _require_odd(m)
     if route == "integer":
-        _grow_tangents(k)
-        return _TANGENTS[k - 1]
+        return _tangents(k)[-1]
     if route == "bernoulli":
         return _as_integer(tangent_bernoulli_value(m), f"tangent({m}) bernoulli route")
     if route == "series":
@@ -264,6 +258,23 @@ def genocchi(n: int) -> int:
     return _as_integer(genocchi_value(n), f"genocchi({n})")
 
 
+def _genocchis(count: int) -> list[int]:
+    # G_1 .. G_count, read from one series of order count.
+    series = genocchi_series(count)
+    return [
+        _as_integer(egf_coeff(series, n), f"genocchi({n})") for n in range(1, count + 1)
+    ]
+
+
+def _alternating_sums(count: int) -> list[int]:
+    # S(0) .. S(count-1) for count >= 1; the one place the sign rule is
+    # written: S(n) = (-1)^((n-1)/2) T(n) at odd n.
+    values = [1] + [0] * (count - 1)
+    for i, t in enumerate(_tangents(count // 2)):
+        values[2 * i + 1] = -t if i % 2 else t
+    return values
+
+
 def alternating_sum(n: int) -> int:
     """Closed form for the alternating excedance sum over length n:
     1 at n = 0, 0 at even n >= 2, and (-1)^((n-1)/2) times the tangent
@@ -278,12 +289,17 @@ def alternating_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    if n % 2 == 0:
-        return 0
-    sign = -1 if ((n - 1) // 2) % 2 else 1
-    return sign * tangent(n)
+    return _alternating_sums(n + 1)[n]
+
+
+# Per flat sequence: first index, index step, route, and the prefix
+# function giving the first count values.
+_PREFIXES = {
+    "tangent": (1, 2, "integer", _tangents),
+    "bernoulli": (0, 1, "recurrence", _bernoullis),
+    "genocchi": (1, 1, "egf-series", _genocchis),
+    "altsum": (0, 1, "closed-form", _alternating_sums),
+}
 
 
 def sequence_table(name: str, count: int) -> SequenceTable:
@@ -291,30 +307,17 @@ def sequence_table(name: str, count: int) -> SequenceTable:
 
     Index conventions: "altsum" and "bernoulli" start at 0, "genocchi" at
     1, and "tangent" runs over the odd indices 1, 3, ..., 2*count-1.  The
-    "eulerian" triangle is not a flat sequence; use
-    :func:`eulerian_numbers` row by row instead.
+    "eulerian" triangle is not a flat sequence; use :func:`eulerian_rows`
+    instead.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if name == "tangent":
-        _grow_tangents(count)  # one recurrence build serves the whole table
-        entries = [
-            SequenceEntry(2 * i - 1, tangent(2 * i - 1), "integer")
-            for i in range(1, count + 1)
-        ]
-    elif name == "bernoulli":
-        entries = [SequenceEntry(i, bernoulli(i), "recurrence") for i in range(count)]
-    elif name == "genocchi":
-        entries = [
-            SequenceEntry(i, genocchi(i), "egf-series") for i in range(1, count + 1)
-        ]
-    elif name == "altsum":
-        _grow_tangents(count // 2)
-        entries = [
-            SequenceEntry(i, alternating_sum(i), "closed-form") for i in range(count)
-        ]
-    elif name == "eulerian":
+    if name == "eulerian":
         raise ValueError("eulerian is a triangle; use eulerian_numbers(n) per row")
-    else:
+    if name not in _PREFIXES:
         raise ValueError(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
-    return SequenceTable(name, tuple(entries))
+    first, step, route, prefix = _PREFIXES[name]
+    return SequenceTable(name, tuple(
+        SequenceEntry(first + step * i, value, route)
+        for i, value in enumerate(prefix(count))
+    ))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excedance import sequences, series
+from excedance import series
 from excedance.cli import SERIES
 from excedance.exact import factorial
 from excedance.permutations import eulerian_poly_bruteforce
@@ -31,7 +31,7 @@ points = st.builds(
 
 @settings(deadline=None)
 @given(n=lengths, t=points)
-def test_enumeration_triangle_and_series_agree(n, t):
+def test_tally_triangle_and_series_agree(n, t):
     for convention in ("standard", "shifted"):
         assert eulerian_poly_bruteforce(n, t, convention) == eulerian_poly_at(
             n, t, convention
@@ -109,12 +109,3 @@ def test_tangent_routes_agree_wherever_defined(m):
         assert value == tangent(m, "series")
     if m <= 11:
         assert value == tangent(m, "counting")
-
-
-@settings(deadline=None)
-@given(ms=st.lists(odd, min_size=1, max_size=8))
-def test_integer_tangents_grow_at_most_twice_the_request(ms):
-    expected = [tangent(m, "bernoulli") for m in ms]
-    sequences._TANGENTS.clear()  # grow from empty, in the drawn order
-    assert [tangent(m, "integer") for m in ms] == expected
-    assert len(sequences._TANGENTS) <= 2 * max((m + 1) // 2 for m in ms)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from excedance import claims, permutations, sequences
 from excedance.permutations import alternating_sum_bruteforce, excedance_distribution
 from excedance.sequences import (
     SEQUENCE_NAMES,
@@ -9,6 +10,7 @@ from excedance.sequences import (
     bernoulli,
     eulerian_numbers,
     eulerian_poly_at,
+    eulerian_rows,
     genocchi,
     genocchi_value,
     sequence_table,
@@ -28,6 +30,13 @@ def test_eulerian_rows_small():
     assert eulerian_numbers(1) == [1]
     assert eulerian_numbers(3) == [1, 4, 1]
     assert eulerian_numbers(4) == [1, 11, 11, 1]
+
+
+def test_eulerian_rows_numbers_and_tally_agree_to_12():
+    rows = list(eulerian_rows(12))
+    assert len(rows) == 12
+    for n in range(1, 13):
+        assert rows[n - 1] == eulerian_numbers(n) == list(permutations._excedance_tally(n)[:n])
 
 
 def test_eulerian_rows_match_bruteforce_to_8():
@@ -164,6 +173,32 @@ def test_sequence_table_values_and_routes():
     bernoullis = sequence_table("bernoulli", 3)
     assert bernoullis.values() == [1, Fraction(-1, 2), Fraction(1, 6)]
     assert all(e.route == "recurrence" for e in bernoullis.entries)
+
+
+@pytest.mark.parametrize("count", [1, 2, 37])
+def test_sequence_tables_match_their_scalars(count):
+    # Tables read one prefix per name, scalars one prefix per index.
+    scalars = {
+        "tangent": tangent,
+        "bernoulli": bernoulli,
+        "genocchi": genocchi,
+        "altsum": alternating_sum,
+    }
+    for name, scalar in scalars.items():
+        entries = sequence_table(name, count).entries
+        assert len(entries) == count
+        for e in entries:
+            assert e.value == scalar(e.index)
+
+
+@pytest.mark.parametrize("module", [sequences, claims], ids=lambda m: m.__name__)
+def test_no_module_level_lists(module):
+    # Sequences are computed per request; the only memo is in series.
+    stores = [
+        name for name, value in vars(module).items()
+        if isinstance(value, list) and not name.startswith("__")
+    ]
+    assert stores == []
 
 
 def test_sequence_table_rejections():
