@@ -22,9 +22,10 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable
 
-from .exact import DESK_LIMIT, ExactValue, GuardError, binomial, format_exact
+from .exact import DESK_LIMIT, ExactValue, binomial, format_exact
 from .permutations import alternating_sum_bruteforce, eulerian_poly_bruteforce
 from .sequences import (
+    TANGENT_ROUTES,
     alternating_sum,
     genocchi,
     genocchi_value,
@@ -146,19 +147,11 @@ def get_claim(claim_id: str) -> Claim:
         ) from None
 
 
-def verify_claim(claim_id: str, max_n: int = DESK_LIMIT, *, force: bool = False) -> ClaimResult:
-    """Evaluate one claim on its range intersected with [0, max_n].
-
-    max_n beyond the desk limit (``DESK_LIMIT``) requires force=True.
-    """
+def verify_claim(claim_id: str, max_n: int = DESK_LIMIT) -> ClaimResult:
+    """Evaluate one claim on its range intersected with [0, max_n]."""
     claim = get_claim(claim_id)
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    if max_n > DESK_LIMIT and not force:
-        raise GuardError(
-            f"max_n={max_n} exceeds the default verification cap "
-            f"{DESK_LIMIT}; pass force=True (CLI: --force) to go higher"
-        )
     hi = min(claim.hi, max_n)
     counterexamples = []
     for n in range(claim.lo, hi + 1):
@@ -178,10 +171,7 @@ def verify_claim(claim_id: str, max_n: int = DESK_LIMIT, *, force: bool = False)
 
 
 def verify_all(
-    max_n: int = DESK_LIMIT,
-    ids: tuple[str, ...] | list[str] | None = None,
-    *,
-    force: bool = False,
+    max_n: int = DESK_LIMIT, ids: tuple[str, ...] | list[str] | None = None
 ) -> Report:
     """One result per requested claim, always in registry order."""
     wanted = set(ids) if ids is not None else None
@@ -189,7 +179,7 @@ def verify_all(
         for claim_id in ids:
             get_claim(claim_id)  # surface the first unknown id before any work
     results = tuple(
-        verify_claim(claim_id, max_n, force=force)
+        verify_claim(claim_id, max_n)
         for claim_id in _REGISTRY
         if wanted is None or claim_id in wanted
     )
@@ -297,11 +287,8 @@ def _eval_even_parity(n: int) -> Pairs:
 def _eval_tangent_routes(m: int) -> Pairs:
     if m % 2 == 0:
         return []
-    return [
-        (tangent(m, "integer"), tangent(m, "bernoulli")),
-        (tangent(m, "bernoulli"), tangent(m, "series")),
-        (tangent(m, "series"), tangent(m, "counting")),
-    ]
+    values = [tangent(m, route) for route in TANGENT_ROUTES]
+    return list(zip(values, values[1:]))
 
 
 def _eval_integrality(n: int) -> Pairs:

@@ -151,6 +151,11 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n > DESK_LIMIT and not args.force:
+        return _fail_usage(
+            f"max_n={args.max_n} exceeds the default verification cap {DESK_LIMIT} "
+            "(DESK_LIMIT); pass --force to go higher"
+        )
     if args.claims.strip() == "all":
         ids = None
     else:
@@ -158,7 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not ids:
             return _fail_usage("--claims needs 'all' or a comma-separated id list")
     try:
-        report = verify_all(args.max_n, ids, force=args.force)
+        report = verify_all(args.max_n, ids)
     except KeyError as exc:
         return _fail_usage(exc.args[0])
     except ValueError as exc:

@@ -7,8 +7,10 @@ numerator over a strictly positive denominator, so equality is structural.
 The helpers below pin down the conventions the rest of the package leans
 on, in particular that ``binomial`` is a total function returning 0 outside
 the Pascal triangle (the summation convention used by every recurrence
-here).  The work limits of every other module are tabled here too, so
-each size bound is written once.
+here).  The work limits are tabled here too, so each size bound is
+written once.  A limit is applied only where input arrives from outside
+(the command line) or where the work is exponential (the enumeration
+oracle); every polynomial library function takes any size.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ __all__ = [
     "GuardError",
     "DESK_LIMIT",
     "ENUMERATION_LIMIT",
-    "UPDOWN_LIMIT",
     "SERIES_ORDER_LIMIT",
     "SEQ_COUNT_LIMIT",
     "require_within",
@@ -39,12 +40,11 @@ class GuardError(ValueError):
     """Raised when a request exceeds a work limit in the table below."""
 
 
-# Work limits, each with its measured cost (2 cores, Python 3.11).
-DESK_LIMIT = 8  # length without --force; the test oracle enumerates 8! permutations in 0.17 s
-ENUMERATION_LIMIT = 12  # tally DP 0.2 ms at 12 (dist 12 --force 0.14 s); the oracle: 16 s at 10
-UPDOWN_LIMIT = 12  # count_alternating visits about n*2^n states: 0.05 s at 12, 1.7 s at 16
-SERIES_ORDER_LIMIT = 64  # series <name> --order 64 takes 0.17 s
-SEQ_COUNT_LIMIT = 500  # seq genocchi --count 500, the slowest seq, takes 1.8 s; tangent 0.15 s
+# Work limits: where each applies, and its measured cost (2 cores, Python 3.11).
+DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; the oracle enumerates 8! in 0.17 s
+ENUMERATION_LIMIT = 12  # enumerate_permutations, 16 s at 10; CLI dist n --force, 0.14 s at 12
+SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.17 s
+SEQ_COUNT_LIMIT = 500  # CLI seq genocchi --count 500, the slowest seq, takes 1.8 s; tangent 0.15 s
 
 
 def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> None:

@@ -1,19 +1,20 @@
-"""Desk-scale permutation statistics and the enumeration oracle.
+"""Permutation statistics, their polynomial-time counts, and the
+enumeration oracle.
 
 Statistics are computed straight from their definitions, and
 ``enumerate_permutations`` yields every permutation of a length, the
-exhaustive oracle the tests check the counting routes against.  The
-excedance tallies come from an open-arc dynamic program over Laguerre
-histories in O(n^3) integer steps, with no cache and no enumeration; the
-distribution, the alternating sum and the polynomial evaluation all read
-it.  It is refused past ``ENUMERATION_LIMIT`` in the table of
-:mod:`excedance.exact` (12; the default verification paths stay at
-``DESK_LIMIT``, 8).  Up-down permutations are counted by dynamic
-programming over alternating prefixes, refused past ``UPDOWN_LIMIT``
-(12), and the tests check the count against filtered enumeration up to
-length 9.  Positions and values are 1-based throughout: a permutation is
-its one-line notation (sigma(1), ..., sigma(n)) and length 0 is the
-empty permutation, which has no excedances and counts as alternating.
+exhaustive oracle the tests check the counting routes against; it is the
+one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
+table of :mod:`excedance.exact`, because its work is n!.  The excedance
+tallies come from an open-arc dynamic program over Laguerre histories in
+O(n^3) integer steps, with no cache and no enumeration; the distribution,
+the alternating sum and the polynomial evaluation all read it.  Up-down
+permutations are counted by the Seidel-Entringer rank recurrence in
+O(n^2) additions, and the tests check the count against filtered
+enumeration up to length 9.  Positions and values are 1-based throughout:
+a permutation is its one-line notation (sigma(1), ..., sigma(n)) and
+length 0 is the empty permutation, which has no excedances and counts as
+alternating.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .exact import ENUMERATION_LIMIT, UPDOWN_LIMIT, GuardError, as_rational, require_within
+from .exact import ENUMERATION_LIMIT, GuardError, as_rational, require_within
 
 __all__ = [
     "GuardError",
@@ -121,6 +122,8 @@ def _excedance_tally(n: int) -> tuple[int, ...]:
     # waiting for a later position; arcs[j][k] counts the ways to reach j
     # open arcs with k excedances.  Position i is an excedance exactly when
     # it opens.  States with more open arcs than steps left never close.
+    if n < 0:
+        raise ValueError(f"permutation length must be >= 0, got {n}")
     arcs = [[1] + [0] * n]
     for i in range(1, n + 1):
         grown = [[0] * (n + 1) for _ in range(len(arcs) + 1)]
@@ -147,7 +150,6 @@ def excedance_distribution(n: int) -> list[int]:
     >>> excedance_distribution(0)
     []
     """
-    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     return list(_excedance_tally(n)[:n])
 
 
@@ -162,7 +164,6 @@ def alternating_sum_bruteforce(n: int) -> int:
     >>> alternating_sum_bruteforce(3)
     -2
     """
-    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     return sum(-c if k % 2 else c for k, c in enumerate(_excedance_tally(n)))
 
 
@@ -176,25 +177,19 @@ def count_alternating(n: int) -> int:
     >>> count_alternating(5)
     16
     """
-    require_within("permutation length", n, 0, UPDOWN_LIMIT)
-    # Dynamic programming over alternating prefixes: a state is the bitmask
-    # of values used so far and the last value, the prefix length is the
-    # popcount of the mask, and each layer maps its states to the number of
-    # up-down prefixes that reach them.  Position i + 1 must rise above
-    # position i for odd i and fall below it for even i.
-    if n <= 1:
-        return 1
-    layer = {(1 << v, v): 1 for v in range(n)}
+    if n < 0:
+        raise ValueError(f"permutation length must be >= 0, got {n}")
+    # Seidel-Entringer dynamic programming by rank: ways[r] counts the
+    # up-down prefixes whose last value has r unused values below it.  A
+    # rise to a value with r' unused below comes from every r <= r', a
+    # fall from every r > r', so each step is one running sum.
+    ways = [1] * n
     for length in range(1, n):
-        rising = length % 2 == 1
-        grown: dict[tuple[int, int], int] = {}
-        for (used, last), ways in layer.items():
-            for v in range(last + 1, n) if rising else range(last):
-                if not used >> v & 1:
-                    key = (used | 1 << v, v)
-                    grown[key] = grown.get(key, 0) + ways
-        layer = grown
-    return sum(layer.values())
+        if length % 2:
+            ways = list(itertools.accumulate(ways[:-1]))
+        else:
+            ways = list(itertools.accumulate(reversed(ways[1:])))[::-1]
+    return sum(ways) if n else 1
 
 
 def eulerian_poly_bruteforce(
@@ -214,7 +209,6 @@ def eulerian_poly_bruteforce(
     >>> eulerian_poly_bruteforce(3, -1, "shifted")
     Fraction(2, 1)
     """
-    require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     return _polynomial_at(n, t, convention, _excedance_tally)
 
 

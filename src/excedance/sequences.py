@@ -10,7 +10,7 @@ claims module can cross-validate them:
 * Tangent numbers: four routes, all required to agree: the integer-only
   Knuth-Buckholtz recurrence (the default), the Bernoulli formula, the
   tanh series, and the up-down permutation count of
-  :func:`count_alternating`, which stops at its own limit.
+  :func:`count_alternating`.
 * Genocchi numbers: exponential coefficients of 2x/(e^x+1).
 * Alternating excedance sums: closed form in terms of tangent numbers,
   checked against the open-arc tally.
@@ -215,9 +215,8 @@ def tangent(m: int, route: str = "integer") -> int:
     Routes: "integer" (the Knuth-Buckholtz recurrence, no rationals at
     all), "bernoulli" (explicit formula through Bernoulli numbers),
     "series" (coefficient extraction from tanh), "counting" (the up-down
-    permutations of length m, counted by :func:`count_alternating` and
-    refused past its limit).  All routes agree and return a positive
-    integer.
+    permutations of length m, counted by :func:`count_alternating`).  All
+    routes agree and return a positive integer.
 
     >>> tangent(1)
     1
@@ -313,7 +312,7 @@ def sequence_table(name: str, count: int) -> SequenceTable:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if name == "eulerian":
-        raise ValueError("eulerian is a triangle; use eulerian_numbers(n) per row")
+        raise ValueError("eulerian is a triangle; use eulerian_rows(count)")
     if name not in _PREFIXES:
         raise ValueError(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
     first, step, route, prefix = _PREFIXES[name]

@@ -13,7 +13,6 @@ from excedance.claims import (
     verify_all,
     verify_claim,
 )
-from excedance.permutations import GuardError
 
 # The full expected-verdict table at the default bound.  A regression in
 # any computation route flips one of these and fails the suite.
@@ -125,22 +124,20 @@ def test_single_claim_examples():
 def test_range_is_clamped_to_bound():
     result = verify_claim("C3-phi-tanh", 8)
     assert (result.lo, result.hi) == (0, 8)
-    result = verify_claim("C3-phi-tanh", 12, force=True)
+    result = verify_claim("C3-phi-tanh", 12)
     assert (result.lo, result.hi) == (0, 12)
 
 
 def test_unknown_claim_and_guard_errors():
     with pytest.raises(KeyError):
         verify_claim("C99-nope", 8)
-    with pytest.raises(GuardError):
-        verify_claim("C3-phi-tanh", 9)
     with pytest.raises(ValueError):
         verify_claim("C3-phi-tanh", -1)
-    assert verify_claim("C3-phi-tanh", 9, force=True).verdict == "PASS"
+    assert verify_claim("C3-phi-tanh", 9).verdict == "PASS"
 
 
 def test_forced_full_ranges_keep_expected_verdicts():
-    report = verify_all(13, force=True)
+    report = verify_all(13)
     for result in report.results:
         claim = get_claim(result.claim_id)
         assert result.verdict == claim.expected_verdict(13)

@@ -16,6 +16,7 @@ from excedance.exact import (
 from excedance.sequences import eulerian_numbers
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -144,8 +145,8 @@ def test_each_limit_accepts_its_own_value(argv):
     (("series", "tanh", "--order", str(SERIES_ORDER_LIMIT + 1)),
      f"--order must be within 0..{SERIES_ORDER_LIMIT}, got {SERIES_ORDER_LIMIT + 1}"),
     (("verify", "--max-n", str(DESK_LIMIT + 1)),
-     f"max_n={DESK_LIMIT + 1} exceeds the default verification cap {DESK_LIMIT}; "
-     "pass force=True (CLI: --force) to go higher"),
+     f"max_n={DESK_LIMIT + 1} exceeds the default verification cap {DESK_LIMIT} (DESK_LIMIT); "
+     "pass --force to go higher"),
     (("seq", "eulerian", "--count", str(SEQ_COUNT_LIMIT + 1)),
      f"--count must be within 1..{SEQ_COUNT_LIMIT}, got {SEQ_COUNT_LIMIT + 1}"),
 ])
@@ -281,6 +282,19 @@ def test_verify_json_no_meta_is_byte_identical():
     assert first.stdout == second.stdout
     doc = json.loads(first.stdout)
     assert list(doc) == ["max_n", "results"]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "--max-n", "25", "--force", "--format", "json", "--no-meta"),
+     "verify_max_n_25_force.json"),
+    (("verify",), "verify.txt"),
+])
+def test_verify_output_matches_the_golden_file(argv, golden):
+    # The files pin the report byte for byte; rewrite one only when a
+    # verdict, range or counterexample is meant to change.
+    result = run_cli(*argv, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout == (DATA / golden).read_text()
 
 
 def test_verify_json_meta_present_by_default():

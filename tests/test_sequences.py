@@ -112,8 +112,7 @@ def test_tangent_rejects_even_or_bad_route():
         tangent(0)
     with pytest.raises(ValueError):
         tangent(3, "guess")
-    with pytest.raises(ValueError):
-        tangent(13, "counting")
+    assert tangent(13, "counting") == tangent(13) == 22368256
 
 
 def test_genocchi_matches_bernoulli_to_150():
@@ -206,6 +205,6 @@ def test_sequence_table_rejections():
         sequence_table("nope", 3)
     with pytest.raises(ValueError):
         sequence_table("altsum", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"use eulerian_rows\(count\)"):
         sequence_table("eulerian", 3)
     assert set(SEQUENCE_NAMES) == {"tangent", "bernoulli", "genocchi", "eulerian", "altsum"}
