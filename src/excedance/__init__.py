@@ -38,16 +38,7 @@ from .permutations import (
     excedance_distribution,
     is_alternating_up_down,
 )
-from .sequences import (
-    SequenceTable,
-    alternating_sum,
-    bernoulli,
-    eulerian_numbers,
-    eulerian_poly_at,
-    genocchi,
-    sequence_table,
-    tangent,
-)
+from .sequences import alternating_sum, bernoulli, eulerian_numbers, genocchi, tangent
 from .series import (
     Series,
     bernoulli_series,

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable
 
-from .exact import DESK_LIMIT, ExactValue, binomial, format_exact
+from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
 from .permutations import alternating_sum_bruteforce, eulerian_poly_bruteforce
 from .sequences import (
     TANGENT_ROUTES,
@@ -216,14 +216,7 @@ def _render_text(report: Report) -> str:
     for r in report.results:
         first = r.counterexamples[0].render() if r.counterexamples else "-"
         rows.append((r.claim_id, r.paper_ref, f"[{r.lo},{r.hi}]", r.verdict, first))
-    widths = [
-        max(len(header[c]), *(len(row[c]) for row in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    return format_table(header, rows)
 
 
 def _render_json(report: Report, *, include_meta: bool) -> str:
@@ -251,21 +244,16 @@ def _render_json(report: Report, *, include_meta: bool) -> str:
 # claim evaluators
 
 
-def _eval_egf_convention(n: int, convention: str) -> Pairs:
-    pairs: Pairs = []
-    for t in _T_POINTS:
-        lhs = egf_coeff(phi_series(t, n), n)
-        rhs = eulerian_poly_bruteforce(n, t, convention)
-        pairs.append((lhs, rhs))
-    return pairs
-
-
 def _eval_egf_standard(n: int) -> Pairs:
-    return _eval_egf_convention(n, "standard")
+    return [(egf_coeff(phi_series(t, n), n), eulerian_poly_bruteforce(n, t)) for t in _T_POINTS]
 
 
 def _eval_egf_shifted(n: int) -> Pairs:
-    return _eval_egf_convention(n, "shifted")
+    # Sec 2.2 weights each permutation by t^(exc+1); length 0 keeps weight 1.
+    return [
+        (egf_coeff(phi_series(t, n), n), t * eulerian_poly_bruteforce(n, t) if n else 1)
+        for t in _T_POINTS
+    ]
 
 
 def _eval_phi_tanh(n: int) -> Pairs:

@@ -22,14 +22,16 @@ from .exact import (
     ENUMERATION_LIMIT,
     SEQ_COUNT_LIMIT,
     SERIES_ORDER_LIMIT,
+    T_DIGITS_LIMIT,
     GuardError,
     factorial,
     format_exact,
+    format_table,
     parse_rational,
     require_within,
 )
 from .permutations import excedance_distribution
-from .sequences import SEQUENCE_NAMES, eulerian_rows, sequence_table
+from .sequences import alternating_sums, bernoullis, eulerian_rows, genocchis, tangents
 from .series import (
     bernoulli_series,
     egf_coeff,
@@ -38,6 +40,17 @@ from .series import (
     render_series,
     tanh_series,
 )
+
+# Each prefix gives the first count values, or rows of the Eulerian triangle.
+# The lambdas look each function up at call time, as SERIES does.
+SEQUENCES = {
+    "tangent": lambda count: tangents(count),
+    "bernoulli": lambda count: bernoullis(count),
+    "genocchi": lambda count: genocchis(count),
+    "eulerian": lambda count: eulerian_rows(count),
+    "altsum": lambda count: alternating_sums(count),
+}
+SEQUENCE_NAMES = tuple(SEQUENCES)
 
 # Each constructor takes the order and phi's --t, which only phi reads.
 SERIES = {
@@ -59,24 +72,18 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if name not in SEQUENCE_NAMES:
         return _fail_usage(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
     require_within("--count", count, 1, SEQ_COUNT_LIMIT)
+    values = SEQUENCES[name](count)
     if name == "eulerian":
-        rows = list(eulerian_rows(count))
+        rows = ([str(v) for v in row] for row in values)
         if args.format == "json":
-            doc = {
-                "name": name,
-                "count": count,
-                "rows": [[str(v) for v in row] for row in rows],
-            }
-            print(json.dumps(doc, indent=2))
+            print(json.dumps({"name": name, "count": count, "rows": list(rows)}, indent=2))
         else:
             for row in rows:
-                print(" ".join(str(v) for v in row))
+                print(" ".join(row))
         return 0
-    table = sequence_table(name, count)
-    rendered = [format_exact(e.value) for e in table.entries]
+    rendered = [format_exact(v) for v in values]
     if args.format == "json":
-        doc = {"name": name, "count": count, "values": rendered}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"name": name, "count": count, "values": rendered}, indent=2))
     else:
         print(", ".join(rendered))
     return 0
@@ -98,11 +105,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
     else:
-        k_width = max(len("k"), len(str(n - 1)))
-        c_width = max(len("count"), *(len(str(c)) for c in tally))
-        print(f"{'k'.ljust(k_width)}  {'count'.ljust(c_width)}".rstrip())
-        for k, c in enumerate(tally):
-            print(f"{str(k).ljust(k_width)}  {str(c).ljust(c_width)}".rstrip())
+        print(format_table(("k", "count"), [(str(k), str(c)) for k, c in enumerate(tally)]))
         if total == n_factorial:
             print(f"sum = {total} = {n}!")
         else:
@@ -141,12 +144,8 @@ def cmd_series(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(f"{label} = {render_series(series)}")
-        n_width = max(len("n"), len(str(order)))
-        o_width = max(len("[x^n]"), *(len(v) for v in ordinary))
-        e_width = max(len("n!*[x^n]"), *(len(v) for v in egf))
-        print(f"{'n'.ljust(n_width)}  {'[x^n]'.ljust(o_width)}  {'n!*[x^n]'.ljust(e_width)}".rstrip())
-        for k in range(order + 1):
-            print(f"{str(k).ljust(n_width)}  {ordinary[k].ljust(o_width)}  {egf[k].ljust(e_width)}".rstrip())
+        rows = [(str(k), ordinary[k], egf[k]) for k in range(order + 1)]
+        print(format_table(("n", "[x^n]", "n!*[x^n]"), rows))
     return 0
 
 
@@ -194,9 +193,14 @@ def _rational_arg(text: str) -> Fraction:
             f"exponent notation is not accepted: {text!r}; write t as p/q or an integer"
         )
     try:
-        return parse_rational(text)
+        t = parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    if max(abs(t.numerator), t.denominator) >= 10**T_DIGITS_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"t may have at most {T_DIGITS_LIMIT} digits in its numerator and in its "
+            "denominator (T_DIGITS_LIMIT)")
+    return t
 
 
 def build_parser() -> argparse.ArgumentParser:

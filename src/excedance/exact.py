@@ -15,9 +15,10 @@ oracle); every polynomial library function takes any size.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
-# Exact value as stored in sequence tables and claim counterexamples.
+# An exact value, as format_exact renders it and claim counterexamples hold it.
 ExactValue = int | Fraction
 
 __all__ = [
@@ -27,12 +28,14 @@ __all__ = [
     "ENUMERATION_LIMIT",
     "SERIES_ORDER_LIMIT",
     "SEQ_COUNT_LIMIT",
+    "T_DIGITS_LIMIT",
     "require_within",
     "factorial",
     "binomial",
     "as_rational",
     "parse_rational",
     "format_exact",
+    "format_table",
 ]
 
 
@@ -45,6 +48,9 @@ DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; the oracle enum
 ENUMERATION_LIMIT = 12  # enumerate_permutations, 16 s at 10; CLI dist n --force, 0.14 s at 12
 SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.17 s
 SEQ_COUNT_LIMIT = 500  # CLI seq genocchi --count 500, the slowest seq, takes 1.8 s; tangent 0.15 s
+# CLI series phi --t: digits of its numerator and of its denominator.  At order 64
+# the coefficients reach about 64*d + 100 digits, 2100 at 32: 0.2 s, 0.45 s for p/q.
+T_DIGITS_LIMIT = 32
 
 
 def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> None:
@@ -115,3 +121,18 @@ def format_exact(value: ExactValue) -> str:
     if isinstance(value, Fraction) and value.denominator == 1:
         return str(value.numerator)
     return str(value)
+
+
+def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, each line right-stripped.
+
+    >>> print(format_table(("k", "count"), [("0", "1"), ("1", "4083")]))
+    k  count
+    0  1
+    1  4083
+    """
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in (header, *rows)
+    )

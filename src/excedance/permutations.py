@@ -8,20 +8,20 @@ one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
 table of :mod:`excedance.exact`, because its work is n!.  The excedance
 tallies come from an open-arc dynamic program over Laguerre histories in
 O(n^3) integer steps, with no cache and no enumeration; the distribution,
-the alternating sum and the polynomial evaluation all read it.  Up-down
-permutations are counted by the Seidel-Entringer rank recurrence in
-O(n^2) additions, and the tests check the count against filtered
-enumeration up to length 9.  Positions and values are 1-based throughout:
-a permutation is its one-line notation (sigma(1), ..., sigma(n)) and
-length 0 is the empty permutation, which has no excedances and counts as
-alternating.
+the alternating sum and the excedance polynomial (weight t^exc, as in eq
+(1), and no other) all read it.  Up-down permutations are counted by the
+Seidel-Entringer rank recurrence in O(n^2) additions, and the tests check
+the count against filtered enumeration up to length 9.  Positions and
+values are 1-based throughout: a permutation is its one-line notation
+(sigma(1), ..., sigma(n)) and length 0 is the empty permutation, which has
+no excedances and counts as alternating.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .exact import ENUMERATION_LIMIT, GuardError, as_rational, require_within
 
@@ -36,9 +36,6 @@ __all__ = [
     "count_alternating",
     "eulerian_poly_bruteforce",
 ]
-
-CONVENTIONS = ("standard", "shifted")
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -192,33 +189,17 @@ def count_alternating(n: int) -> int:
     return sum(ways) if n else 1
 
 
-def eulerian_poly_bruteforce(
-    n: int, t: Fraction | int, convention: str = "standard"
-) -> Fraction:
-    """Evaluate the excedance generating polynomial of length n at t, from
-    the open-arc tally (no enumeration, despite the name).
-
-    "standard" sums t^exc(sigma); "shifted" sums t^(exc(sigma)+1), except
-    that the shifted value for n = 0 is defined as 1 so that evaluation at
-    t = 1 always yields n!.
+def eulerian_poly_bruteforce(n: int, t: Fraction | int) -> Fraction:
+    """Evaluate the excedance polynomial, the sum of t^exc(sigma) over all
+    permutations of length n, from the open-arc tally (no enumeration,
+    despite the name).  A float t is refused before any tally.
 
     >>> eulerian_poly_bruteforce(3, 1)
     Fraction(6, 1)
     >>> eulerian_poly_bruteforce(3, -1)
     Fraction(-2, 1)
-    >>> eulerian_poly_bruteforce(3, -1, "shifted")
-    Fraction(2, 1)
+    >>> eulerian_poly_bruteforce(0, 7)
+    Fraction(1, 1)
     """
-    return _polynomial_at(n, t, convention, _excedance_tally)
-
-
-def _polynomial_at(
-    n: int, t: Fraction | int, convention: str, row: Callable[[int], Sequence[int]]
-) -> Fraction:
-    # Sum of row(n)[k] * t^k, times t under "shifted" except at n = 0.  The
-    # row is read last, so a bad convention or t fails before any tally.
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     t = as_rational(t)
-    value = sum((count * t**k for k, count in enumerate(row(n))), Fraction(0))
-    return t * value if convention == "shifted" and n > 0 else value
+    return sum((count * t**k for k, count in enumerate(_excedance_tally(n))), Fraction(0))

@@ -15,63 +15,39 @@ claims module can cross-validate them:
 * Alternating excedance sums: closed form in terms of tangent numbers,
   checked against the open-arc tally.
 
-Each sequence is one private prefix function that computes from scratch
-and returns a list; a scalar reads its index from the matching prefix,
-and a table reads each prefix once.  Only the series prefixes of
-:mod:`excedance.series` are kept between calls.  Everything is exact,
-and any route that passes through rationals asserts integrality before
-returning an int, so a convention slip fails loudly instead of rounding.
+Each sequence has one public prefix function that computes its first
+``count`` values from scratch (:func:`eulerian_rows` yields rows), and a
+scalar reads its index from the matching prefix.  Only the series
+prefixes of :mod:`excedance.series` are kept between calls.  Everything
+is exact, and any route that passes through rationals asserts integrality
+before returning an int, so a convention slip fails loudly instead of
+rounding.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactValue, binomial
-from .permutations import _polynomial_at, count_alternating
-from .series import bernoulli_series, egf_coeff, genocchi_series, tanh_series
+from .exact import binomial
+from .permutations import count_alternating
+from .series import egf_coeff, genocchi_series, tanh_series
 
 __all__ = [
-    "SequenceEntry",
-    "SequenceTable",
-    "SEQUENCE_NAMES",
     "TANGENT_ROUTES",
-    "eulerian_rows",
-    "eulerian_numbers",
-    "eulerian_poly_at",
-    "bernoulli",
-    "tangent",
-    "tangent_bernoulli_value",
-    "tangent_series_value",
-    "genocchi",
-    "genocchi_value",
-    "alternating_sum",
-    "sequence_table",
+    "eulerian_rows", "eulerian_numbers",
+    "bernoullis", "bernoulli",
+    "tangents", "tangent", "tangent_bernoulli_value", "tangent_series_value",
+    "genocchis", "genocchi", "genocchi_value",
+    "alternating_sums", "alternating_sum",
 ]
-
-SEQUENCE_NAMES = ("tangent", "bernoulli", "genocchi", "eulerian", "altsum")
 
 TANGENT_ROUTES = ("integer", "bernoulli", "series", "counting")
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
-    index: int
-    value: ExactValue
-    route: str
-
-
-@dataclass(frozen=True)
-class SequenceTable:
-    """Immutable snapshot of computed sequence values with provenance."""
-
-    name: str
-    entries: tuple[SequenceEntry, ...]
-
-    def values(self) -> list[ExactValue]:
-        return [e.value for e in self.entries]
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
 
 
 def eulerian_rows(count: int) -> Iterator[list[int]]:
@@ -113,28 +89,19 @@ def eulerian_numbers(n: int) -> list[int]:
     return row
 
 
-def eulerian_poly_at(n: int, t: Fraction | int, convention: str = "standard") -> Fraction:
-    """Evaluate the excedance generating polynomial via the triangle.
+def bernoullis(count: int) -> list[Fraction]:
+    """B_0 .. B_(count-1), by the defining recurrence
+    sum_{j=0..m} C(m+1, j) B_j = 0.
 
-    >>> eulerian_poly_at(5, 1)
-    Fraction(120, 1)
-    >>> eulerian_poly_at(5, -1)
-    Fraction(16, 1)
-    >>> eulerian_poly_at(0, 7)
-    Fraction(1, 1)
+    >>> bernoullis(3)
+    [Fraction(1, 1), Fraction(-1, 2), Fraction(1, 6)]
+    >>> bernoullis(0)
+    []
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    # Length 0 has one permutation, with no excedances.
-    return _polynomial_at(n, t, convention, lambda m: eulerian_numbers(m) if m else (1,))
-
-
-def _bernoullis(count: int) -> list[Fraction]:
-    # B_0 .. B_(count-1) for count >= 1, by the defining recurrence
-    # sum_{j=0..m} C(m+1, j) B_j = 0.  Each step sums the nonzero earlier
-    # terms as one integer numerator over the lcm of their denominators and
-    # divides once.
-    values = [Fraction(1)]
+    _require_count(count)
+    # Each step sums the nonzero earlier terms as one integer numerator
+    # over the lcm of their denominators and divides once.
+    values = [Fraction(1)][:count]
     for m in range(1, count):
         terms = [(j, b) for j, b in enumerate(values) if b]
         lcm = math.lcm(*(b.denominator for _, b in terms))
@@ -158,7 +125,7 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return _bernoullis(n + 1)[n]
+    return bernoullis(n + 1)[n]
 
 
 def _require_odd(m: int) -> int:
@@ -188,17 +155,21 @@ def tangent_series_value(m: int) -> Fraction:
     return sign * egf_coeff(tanh_series(m), m)
 
 
-def _tangents(k: int) -> list[int]:
-    """T(1), T(3), ..., T(2k-1), in integers only, by the Knuth-Buckholtz
-    recurrence as given by Brent and Harvey (arXiv:1108.0286): T_1 = 1,
-    T_i = (i-1) T_(i-1), then for i = 2..k and j = i..k,
-    T_j = (j-i) T_(j-1) + (j-i+2) T_j.
+def tangents(count: int) -> list[int]:
+    """T(1), T(3), ..., T(2*count-1), in integers only, by the
+    Knuth-Buckholtz recurrence as given by Brent and Harvey
+    (arXiv:1108.0286): T_1 = 1, T_i = (i-1) T_(i-1), then for i = 2..count
+    and j = i..count, T_j = (j-i) T_(j-1) + (j-i+2) T_j.
+
+    >>> tangents(4)
+    [1, 2, 16, 272]
     """
-    t = [1] * k
-    for i in range(1, k):
+    _require_count(count)
+    t = [1] * count
+    for i in range(1, count):
         t[i] = i * t[i - 1]
-    for i in range(1, k):
-        for j in range(i, k):
+    for i in range(1, count):
+        for j in range(i, count):
             t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
     return t
 
@@ -227,7 +198,7 @@ def tangent(m: int, route: str = "integer") -> int:
     """
     k = _require_odd(m)
     if route == "integer":
-        return _tangents(k)[-1]
+        return tangents(k)[-1]
     if route == "bernoulli":
         return _as_integer(tangent_bernoulli_value(m), f"tangent({m}) bernoulli route")
     if route == "series":
@@ -257,19 +228,30 @@ def genocchi(n: int) -> int:
     return _as_integer(genocchi_value(n), f"genocchi({n})")
 
 
-def _genocchis(count: int) -> list[int]:
-    # G_1 .. G_count, read from one series of order count.
+def genocchis(count: int) -> list[int]:
+    """G_1 .. G_count, read from one series of order count.
+
+    >>> genocchis(6)
+    [1, -1, 0, 1, 0, -3]
+    """
+    _require_count(count)
     series = genocchi_series(count)
     return [
         _as_integer(egf_coeff(series, n), f"genocchi({n})") for n in range(1, count + 1)
     ]
 
 
-def _alternating_sums(count: int) -> list[int]:
-    # S(0) .. S(count-1) for count >= 1; the one place the sign rule is
-    # written: S(n) = (-1)^((n-1)/2) T(n) at odd n.
-    values = [1] + [0] * (count - 1)
-    for i, t in enumerate(_tangents(count // 2)):
+def alternating_sums(count: int) -> list[int]:
+    """S(0) .. S(count-1), the alternating excedance sums in closed form.
+
+    >>> alternating_sums(6)
+    [1, 1, 0, -2, 0, 16]
+    """
+    _require_count(count)
+    # S(0) = 1 and S(n) = 0 at even n >= 2; this is the one place the sign
+    # rule is written: S(n) = (-1)^((n-1)/2) T(n) at odd n.
+    values = [1 if n == 0 else 0 for n in range(count)]
+    for i, t in enumerate(tangents(count // 2)):
         values[2 * i + 1] = -t if i % 2 else t
     return values
 
@@ -288,35 +270,5 @@ def alternating_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    return _alternating_sums(n + 1)[n]
+    return alternating_sums(n + 1)[n]
 
-
-# Per flat sequence: first index, index step, route, and the prefix
-# function giving the first count values.
-_PREFIXES = {
-    "tangent": (1, 2, "integer", _tangents),
-    "bernoulli": (0, 1, "recurrence", _bernoullis),
-    "genocchi": (1, 1, "egf-series", _genocchis),
-    "altsum": (0, 1, "closed-form", _alternating_sums),
-}
-
-
-def sequence_table(name: str, count: int) -> SequenceTable:
-    """First ``count`` values of a named sequence, with route provenance.
-
-    Index conventions: "altsum" and "bernoulli" start at 0, "genocchi" at
-    1, and "tangent" runs over the odd indices 1, 3, ..., 2*count-1.  The
-    "eulerian" triangle is not a flat sequence; use :func:`eulerian_rows`
-    instead.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if name == "eulerian":
-        raise ValueError("eulerian is a triangle; use eulerian_rows(count)")
-    if name not in _PREFIXES:
-        raise ValueError(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
-    first, step, route, prefix = _PREFIXES[name]
-    return SequenceTable(name, tuple(
-        SequenceEntry(first + step * i, value, route)
-        for i, value in enumerate(prefix(count))
-    ))

@@ -11,6 +11,7 @@ from excedance.exact import (
     ENUMERATION_LIMIT,
     SEQ_COUNT_LIMIT,
     SERIES_ORDER_LIMIT,
+    T_DIGITS_LIMIT,
     factorial,
 )
 from excedance.sequences import eulerian_numbers
@@ -222,6 +223,29 @@ def test_series_phi_refuses_exponent_notation():
         assert result.stdout == ""
 
 
+def test_series_phi_t_digit_limit():
+    # The largest t within the limit prints in full at the top order; one
+    # more digit above or below the bar, or a long decimal, exits 2 at once.
+    largest = "9" * T_DIGITS_LIMIT
+    order = str(SERIES_ORDER_LIMIT)
+    text = run_cli("series", "phi", "--order", order, f"--t={largest}", timeout=15)
+    assert text.returncode == 0 and text.stderr == ""
+    assert text.stdout.startswith(f"phi(t={largest}, order={order}) = 1 + ")
+    assert len(text.stdout.splitlines()) == SERIES_ORDER_LIMIT + 3
+    json_run = run_cli("series", "phi", "--order", order, f"--t=-{largest}", "--format", "json",
+                       timeout=15)
+    assert json_run.returncode == 0 and json_run.stderr == ""
+    doc = json.loads(json_run.stdout)
+    assert doc["t"] == f"-{largest}" and len(doc["egf"]) == SERIES_ORDER_LIMIT + 1
+    for t in ("9" * (T_DIGITS_LIMIT + 1), f"1/{'9' * (T_DIGITS_LIMIT + 1)}", "9" * 70,
+              "1." + "5" * 4000):
+        result = run_cli("series", "phi", "--order", order, f"--t={t}", timeout=15)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"at most {T_DIGITS_LIMIT} digits" in result.stderr
+        assert "T_DIGITS_LIMIT" in result.stderr
+
+
 def test_series_guards():
     assert run_cli("series", "tanh", "--order", "65").returncode == 2
     assert run_cli("series", "nope", "--order", "3").returncode == 2
@@ -288,10 +312,14 @@ def test_verify_json_no_meta_is_byte_identical():
     (("verify", "--max-n", "25", "--force", "--format", "json", "--no-meta"),
      "verify_max_n_25_force.json"),
     (("verify",), "verify.txt"),
+    (("dist", "12", "--force"), "dist_12_force.txt"),
+    (("series", "phi", "--order", "12", "--t", "-1/2"), "series_phi_order_12_t_-1_2.txt"),
+    (("seq", "eulerian", "--count", "12"), "seq_eulerian_count_12.txt"),
+    (("seq", "bernoulli", "--count", "20"), "seq_bernoulli_count_20.txt"),
 ])
 def test_verify_output_matches_the_golden_file(argv, golden):
-    # The files pin the report byte for byte; rewrite one only when a
-    # verdict, range or counterexample is meant to change.
+    # The files pin each output byte for byte; rewrite one only when a
+    # verdict, range, counterexample or value is meant to change.
     result = run_cli(*argv, timeout=60)
     assert result.returncode == 0
     assert result.stdout == (DATA / golden).read_text()

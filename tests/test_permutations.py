@@ -18,7 +18,7 @@ from excedance.permutations import (
     excedance_distribution,
     is_alternating_up_down,
 )
-from excedance.sequences import eulerian_numbers, eulerian_poly_at, tangent
+from excedance.sequences import eulerian_numbers, tangent
 
 
 def test_permutation_validates_bijection():
@@ -164,12 +164,8 @@ def test_polynomial_routes_check_their_arguments_before_reading_a_row(monkeypatc
         pytest.fail(f"tally of length {n} read for a refused call")
 
     monkeypatch.setattr(permutations, "_excedance_tally", unread)
-    with pytest.raises(ValueError):
-        eulerian_poly_bruteforce(12, 2, "bogus")
     with pytest.raises(TypeError):
         eulerian_poly_bruteforce(12, 0.5)
-    with pytest.raises(ValueError):
-        eulerian_poly_at(3, 2, "bogus")
 
 
 def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
@@ -213,22 +209,15 @@ def test_even_length_counts_match_down_up_recount():
 
 def test_eulerian_poly_bruteforce_values():
     assert eulerian_poly_bruteforce(3, 1) == 6
-    assert eulerian_poly_bruteforce(3, 1, "shifted") == 6
     assert eulerian_poly_bruteforce(3, -1) == -2
-    assert eulerian_poly_bruteforce(3, -1, "shifted") == 2
     assert eulerian_poly_bruteforce(3, -1) == alternating_sum_bruteforce(3)
 
 
 def test_eulerian_poly_bruteforce_empty_permutation():
     assert eulerian_poly_bruteforce(0, 7) == 1
-    assert eulerian_poly_bruteforce(0, 7, "shifted") == 1
 
 
 def test_eulerian_poly_bruteforce_rational_point():
     value = eulerian_poly_bruteforce(3, Fraction(1, 2))
     assert value == 1 + 4 * Fraction(1, 2) + Fraction(1, 4)
 
-
-def test_eulerian_poly_bruteforce_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        eulerian_poly_bruteforce(3, 1, "weird")

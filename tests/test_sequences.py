@@ -3,20 +3,25 @@ from fractions import Fraction
 import pytest
 
 from excedance import claims, permutations, sequences
-from excedance.permutations import alternating_sum_bruteforce, excedance_distribution
+from excedance.permutations import (
+    alternating_sum_bruteforce,
+    eulerian_poly_bruteforce,
+    excedance_distribution,
+)
 from excedance.sequences import (
-    SEQUENCE_NAMES,
     alternating_sum,
+    alternating_sums,
     bernoulli,
+    bernoullis,
     eulerian_numbers,
-    eulerian_poly_at,
     eulerian_rows,
     genocchi,
     genocchi_value,
-    sequence_table,
+    genocchis,
     tangent,
     tangent_bernoulli_value,
     tangent_series_value,
+    tangents,
 )
 from excedance.series import bernoulli_series, egf_coeff
 
@@ -52,13 +57,14 @@ def test_eulerian_row_sums_are_factorials():
 
 
 def test_eulerian_poly_at_values():
-    assert eulerian_poly_at(5, 1) == 120
-    assert eulerian_poly_at(5, 1, "shifted") == 120
-    assert eulerian_poly_at(5, -1) == 16
-    assert eulerian_poly_at(0, 7) == 1
-    assert eulerian_poly_at(0, 7, "shifted") == 1
+    assert eulerian_poly_bruteforce(5, 1) == 120
+    assert eulerian_poly_bruteforce(5, -1) == 16
+    assert eulerian_poly_bruteforce(0, 7) == 1
     # 1 - 26 + 66 - 26 + 1 from the fifth row
     assert sum((-1) ** k * c for k, c in enumerate(eulerian_numbers(5))) == 16
+    for t in (1, -1, 2, Fraction(1, 3)):
+        row_value = sum(c * t**k for k, c in enumerate(eulerian_numbers(5)))
+        assert eulerian_poly_bruteforce(5, t) == row_value
 
 
 def test_bernoulli_values():
@@ -154,40 +160,31 @@ def test_alternating_sum_signs_track_tangent():
         assert alternating_sum(n) == expected
 
 
-def test_sequence_table_values_and_routes():
-    altsum = sequence_table("altsum", 5)
-    assert altsum.values() == [1, 1, 0, -2, 0]
-    assert all(e.route == "closed-form" for e in altsum.entries)
-    assert [e.index for e in altsum.entries] == [0, 1, 2, 3, 4]
-
-    tangents = sequence_table("tangent", 4)
-    assert tangents.values() == [1, 2, 16, 272]
-    assert [e.index for e in tangents.entries] == [1, 3, 5, 7]
-    assert all(e.route == "integer" for e in tangents.entries)
-
-    genocchis = sequence_table("genocchi", 3)
-    assert genocchis.values() == [1, -1, 0]
-    assert all(e.route == "egf-series" for e in genocchis.entries)
-
-    bernoullis = sequence_table("bernoulli", 3)
-    assert bernoullis.values() == [1, Fraction(-1, 2), Fraction(1, 6)]
-    assert all(e.route == "recurrence" for e in bernoullis.entries)
+def test_sequence_prefix_values_and_indices():
+    # altsum and bernoulli start at index 0, genocchi at 1, and tangent runs
+    # over the odd indices 1, 3, ..., 2*count-1.
+    assert alternating_sums(5) == [1, 1, 0, -2, 0]
+    assert alternating_sums(5) == [alternating_sum(n) for n in range(5)]
+    assert tangents(4) == [1, 2, 16, 272]
+    assert tangents(4) == [tangent(m) for m in (1, 3, 5, 7)]
+    assert genocchis(3) == [1, -1, 0]
+    assert genocchis(3) == [genocchi(n) for n in (1, 2, 3)]
+    assert bernoullis(3) == [1, Fraction(-1, 2), Fraction(1, 6)]
 
 
-@pytest.mark.parametrize("count", [1, 2, 37])
+@pytest.mark.parametrize("count", [0, 1, 2, 37])
 def test_sequence_tables_match_their_scalars(count):
-    # Tables read one prefix per name, scalars one prefix per index.
-    scalars = {
-        "tangent": tangent,
-        "bernoulli": bernoulli,
-        "genocchi": genocchi,
-        "altsum": alternating_sum,
+    # Each prefix computes its values at once, each scalar reads one index.
+    prefixes = {
+        tangents: lambda i: tangent(2 * i + 1),
+        bernoullis: bernoulli,
+        genocchis: lambda i: genocchi(i + 1),
+        alternating_sums: alternating_sum,
     }
-    for name, scalar in scalars.items():
-        entries = sequence_table(name, count).entries
-        assert len(entries) == count
-        for e in entries:
-            assert e.value == scalar(e.index)
+    for prefix, scalar in prefixes.items():
+        values = prefix(count)
+        assert len(values) == count
+        assert values == [scalar(i) for i in range(count)]
 
 
 @pytest.mark.parametrize("module", [sequences, claims], ids=lambda m: m.__name__)
@@ -200,11 +197,7 @@ def test_no_module_level_lists(module):
     assert stores == []
 
 
-def test_sequence_table_rejections():
-    with pytest.raises(ValueError):
-        sequence_table("nope", 3)
-    with pytest.raises(ValueError):
-        sequence_table("altsum", 0)
-    with pytest.raises(ValueError, match=r"use eulerian_rows\(count\)"):
-        sequence_table("eulerian", 3)
-    assert set(SEQUENCE_NAMES) == {"tangent", "bernoulli", "genocchi", "eulerian", "altsum"}
+def test_sequence_prefixes_reject_a_negative_count():
+    for prefix in (tangents, bernoullis, genocchis, alternating_sums):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            prefix(-1)
