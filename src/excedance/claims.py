@@ -17,10 +17,8 @@ should is a confirmation, not a regression.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
 from .permutations import alternating_sum_bruteforce, eulerian_poly_bruteforce
@@ -65,8 +63,7 @@ Pairs = list[tuple[ExactValue, ExactValue]]
 _T_POINTS = (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A single identity with an index range and a per-index evaluator.
 
     ``evaluate(n)`` returns (lhs, rhs) pairs of exact values; several pairs
@@ -90,8 +87,7 @@ class Claim:
         return PASS
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     n: int
     lhs: ExactValue
     rhs: ExactValue
@@ -100,8 +96,7 @@ class Counterexample:
         return f"n={self.n}: lhs={format_exact(self.lhs)} rhs={format_exact(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     paper_ref: str
     verdict: str
@@ -111,8 +106,7 @@ class ClaimResult:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     max_n: int
     results: tuple[ClaimResult, ...]
     generated_at: str = ""
@@ -174,6 +168,10 @@ def verify_all(
     max_n: int = DESK_LIMIT, ids: tuple[str, ...] | list[str] | None = None
 ) -> Report:
     """One result per requested claim, always in registry order."""
+    # Imported here: only this function reads the clock, and only the JSON
+    # report's metadata shows it.
+    from datetime import datetime, timezone
+
     wanted = set(ids) if ids is not None else None
     if wanted is not None:
         for claim_id in ids:

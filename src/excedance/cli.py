@@ -76,7 +76,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if name == "eulerian":
         rows = ([str(v) for v in row] for row in values)
         if args.format == "json":
-            print(json.dumps({"name": name, "count": count, "rows": list(rows)}, indent=2))
+            # Row by row, the bytes json.dumps(..., indent=2) would give for
+            # the whole document, which would hold every row at once.
+            print("{", f'  "name": "{name}",', f'  "count": {count},', '  "rows": [', sep="\n")
+            separator = ""
+            for row in rows:
+                print(separator + "    " + json.dumps(row, indent=2).replace("\n", "\n    "), end="")
+                separator = ",\n"
+            print("\n  ]\n}")
         else:
             for row in rows:
                 print(" ".join(row))
@@ -186,16 +193,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _rational_arg(text: str) -> Fraction:
+    # Echo a prefix of a text too long for any t within the digit limit.
+    shown = repr(text)
+    if len(text) > 2 * T_DIGITS_LIMIT + 2:
+        shown = f"{text[:16]!r}... ({len(text)} characters; T_DIGITS_LIMIT is {T_DIGITS_LIMIT})"
     # Fraction expands an exponent, so "1e100000" would become an integer of
     # 100001 digits whose powers no series order could afford.
     if "e" in text.lower():
         raise argparse.ArgumentTypeError(
-            f"exponent notation is not accepted: {text!r}; write t as p/q or an integer"
+            f"exponent notation is not accepted: {shown}; write t as p/q or an integer"
         )
     try:
         t = parse_rational(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an exact rational: {shown}")
     if max(abs(t.numerator), t.denominator) >= 10**T_DIGITS_LIMIT:
         raise argparse.ArgumentTypeError(
             f"t may have at most {T_DIGITS_LIMIT} digits in its numerator and in its "

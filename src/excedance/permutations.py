@@ -19,7 +19,6 @@ no excedances and counts as alternating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -37,7 +36,6 @@ __all__ = [
     "eulerian_poly_bruteforce",
 ]
 
-@dataclass(frozen=True)
 class Permutation:
     """One-line notation (sigma(1), ..., sigma(n)) over {1..n}.
 
@@ -49,14 +47,30 @@ class Permutation:
     ValueError: images (1, 1, 2) are not a bijection on {1..3}
     """
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images) -> None:
+        images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"images {images} are not a bijection on {{1..{n}}}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self.images == other.images if type(other) is Permutation else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     def __len__(self) -> int:
         return len(self.images)

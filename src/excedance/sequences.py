@@ -55,10 +55,16 @@ def eulerian_rows(count: int) -> Iterator[list[int]]:
 
     Each row comes from the one before by the triangle recurrence
     E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1), read from row 0 = [1].
+    A negative count raises here, before any row is asked for.
 
     >>> list(eulerian_rows(3))
     [[1], [1, 1], [1, 4, 1]]
     """
+    _require_count(count)
+    return _eulerian_rows(count)
+
+
+def _eulerian_rows(count: int) -> Iterator[list[int]]:
     padded = [0, 1, 0]
     for n in range(1, count + 1):
         row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]

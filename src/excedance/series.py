@@ -19,7 +19,6 @@ values of t), which evicts the least recently used key.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import as_rational, factorial, format_exact
@@ -42,16 +41,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Series:
     """Ordinary coefficients of a power series truncated at ``order``."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in coeffs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if type(other) is Series else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def order(self) -> int:

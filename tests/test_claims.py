@@ -68,6 +68,16 @@ def test_register_rejects_missing_citation_and_duplicates():
     assert len(claim_ids()) == 13  # registry unchanged by refusals
 
 
+def test_claims_build_by_keyword_with_defaults():
+    fields = dict(id="X", paper_ref="sec 0", statement="x", lo=0, hi=2,
+                  evaluate=lambda n: [(n, n)])
+    claim = Claim(**fields)
+    assert claim.expected_first_failure is None and claim.notes == ""
+    assert claim.expected_verdict(2) == "PASS"
+    failing = Claim(**fields, expected_first_failure=1, notes="n")
+    assert failing.expected_verdict(2) == "FAIL" and failing.expected_verdict(0) == "PASS"
+
+
 def test_verdict_table_at_default_bound():
     report = verify_all(8)
     assert len(report.results) == 13

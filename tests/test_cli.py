@@ -246,6 +246,32 @@ def test_series_phi_t_digit_limit():
         assert "T_DIGITS_LIMIT" in result.stderr
 
 
+def test_series_phi_long_t_is_echoed_short():
+    result = run_cli("series", "phi", "--order", "3", "--t=" + "9" * 5000, timeout=15)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "T_DIGITS_LIMIT" in result.stderr
+    assert len(result.stderr.encode()) < 300
+
+
+def test_seq_eulerian_json_streams_in_bounded_memory():
+    # The document is 77 MB at a count of 500.  Built whole with its rows it
+    # peaks near 300 MB; written row by row, near 18 MB.  A fresh interpreter
+    # starts the command and reads its peak, because a child of this process
+    # would count this process's own peak as its own.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import resource, subprocess, sys; "
+        "subprocess.run([sys.executable, '-m', 'excedance', 'seq', 'eulerian', '--count', '500', "
+        "'--format', 'json'], stdout=subprocess.DEVNULL, check=True); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 64 * 1024  # kilobytes on Linux
+
+
 def test_series_guards():
     assert run_cli("series", "tanh", "--order", "65").returncode == 2
     assert run_cli("series", "nope", "--order", "3").returncode == 2
@@ -316,6 +342,7 @@ def test_verify_json_no_meta_is_byte_identical():
     (("series", "phi", "--order", "12", "--t", "-1/2"), "series_phi_order_12_t_-1_2.txt"),
     (("seq", "eulerian", "--count", "12"), "seq_eulerian_count_12.txt"),
     (("seq", "bernoulli", "--count", "20"), "seq_bernoulli_count_20.txt"),
+    (("seq", "eulerian", "--count", "12", "--format", "json"), "seq_eulerian_count_12.json"),
 ])
 def test_verify_output_matches_the_golden_file(argv, golden):
     # The files pin each output byte for byte; rewrite one only when a

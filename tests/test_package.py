@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import excedance
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_package_exports_are_pinned():
@@ -16,3 +23,15 @@ def test_package_exports_are_pinned():
     ]
     for name in excedance.__all__:
         assert hasattr(excedance, name)
+
+
+def test_cli_import_leaves_slow_modules_unloaded():
+    # In a fresh interpreter, since pytest itself loads dataclasses.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, excedance.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -198,6 +198,8 @@ def test_no_module_level_lists(module):
 
 
 def test_sequence_prefixes_reject_a_negative_count():
-    for prefix in (tangents, bernoullis, genocchis, alternating_sums):
+    # eulerian_rows returns a generator, and refuses on the call itself,
+    # before any row is asked for.
+    for prefix in (tangents, bernoullis, genocchis, alternating_sums, eulerian_rows):
         with pytest.raises(ValueError, match="count must be >= 0, got -1"):
             prefix(-1)

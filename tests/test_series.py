@@ -5,6 +5,7 @@ import pytest
 
 from excedance import series
 from excedance.exact import factorial
+from excedance.permutations import Permutation
 from excedance.series import (
     Series,
     bernoulli_series,
@@ -209,6 +210,12 @@ def test_series_values_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         s.coeffs = ()
     assert hash(s) == hash(tanh_series(4))
+    p = Permutation((2, 3, 1))
+    with pytest.raises(AttributeError):
+        p.images = (1, 2, 3)
+    assert p == Permutation([2, 3, 1]) and hash(p) == hash(Permutation([2, 3, 1]))
+    assert p != Permutation((3, 1, 2)) and p != (2, 3, 1)
+    assert repr(p) == "Permutation(images=(2, 3, 1))"
 
 
 def test_floats_are_refused_everywhere():
