@@ -21,15 +21,14 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
-from .permutations import alternating_sum_bruteforce, eulerian_poly_bruteforce
+from .permutations import alternating_sum_bruteforce, count_alternating, eulerian_poly_bruteforce
 from .sequences import (
-    TANGENT_ROUTES,
     alternating_sum,
     genocchi,
     genocchi_value,
-    tangent,
     tangent_bernoulli_value,
     tangent_series_value,
+    tangents,
 )
 from .series import (
     constant_series,
@@ -273,7 +272,12 @@ def _eval_even_parity(n: int) -> Pairs:
 def _eval_tangent_routes(m: int) -> Pairs:
     if m % 2 == 0:
         return []
-    values = [tangent(m, route) for route in TANGENT_ROUTES]
+    values = [
+        tangents((m + 1) // 2)[-1],
+        tangent_bernoulli_value(m),
+        tangent_series_value(m),
+        count_alternating(m),
+    ]
     return list(zip(values, values[1:]))
 
 

@@ -47,7 +47,7 @@ class GuardError(ValueError):
 DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; the oracle enumerates 8! in 0.17 s
 ENUMERATION_LIMIT = 12  # enumerate_permutations, 16 s at 10; CLI dist n --force, 0.14 s at 12
 SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.17 s
-SEQ_COUNT_LIMIT = 500  # CLI seq genocchi --count 500, the slowest seq, takes 1.8 s; tangent 0.15 s
+SEQ_COUNT_LIMIT = 500  # CLI seq eulerian --count 500, the slowest seq, takes 1.3 s; genocchi 0.10 s
 # CLI series phi --t: digits of its numerator and of its denominator.  At order 64
 # the coefficients reach about 64*d + 100 digits, 2100 at 32: 0.2 s, 0.45 s for p/q.
 T_DIGITS_LIMIT = 32

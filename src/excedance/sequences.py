@@ -7,11 +7,13 @@ claims module can cross-validate them:
 * Bernoulli numbers: defining recurrence sum_{j<=n} C(n+1,j) B_j = 0,
   checked against the x/(e^x-1) series, whose expansion forces the
   convention where index 1 gives -1/2.
-* Tangent numbers: four routes, all required to agree: the integer-only
-  Knuth-Buckholtz recurrence (the default), the Bernoulli formula, the
-  tanh series, and the up-down permutation count of
-  :func:`count_alternating`.
-* Genocchi numbers: exponential coefficients of 2x/(e^x+1).
+* Tangent numbers: one integer-only prefix, the Knuth-Buckholtz
+  recurrence of :func:`tangents`, checked against three named routes: the
+  Bernoulli formula, the tanh series, and the up-down permutation count
+  of :func:`excedance.permutations.count_alternating`.
+* Genocchi numbers: read from the tangent prefix by
+  G_2k = (-1)^k k T_(2k-1) / 4^(k-1), checked against the exponential
+  coefficients of 2x/(e^x+1).
 * Alternating excedance sums: closed form in terms of tangent numbers,
   checked against the open-arc tally.
 
@@ -19,9 +21,10 @@ Each sequence has one public prefix function that computes its first
 ``count`` values from scratch (:func:`eulerian_rows` yields rows), and a
 scalar reads its index from the matching prefix.  Only the series
 prefixes of :mod:`excedance.series` are kept between calls.  Everything
-is exact, and any route that passes through rationals asserts integrality
-before returning an int, so a convention slip fails loudly instead of
-rounding.
+is exact: the rational routes return their raw fractions, whose
+denominators the claims check, and the one integer division, in
+:func:`genocchis`, raises on a non-zero remainder, so a convention slip
+fails loudly instead of rounding.
 """
 from __future__ import annotations
 
@@ -30,19 +33,15 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .exact import binomial
-from .permutations import count_alternating
 from .series import egf_coeff, genocchi_series, tanh_series
 
 __all__ = [
-    "TANGENT_ROUTES",
     "eulerian_rows", "eulerian_numbers",
     "bernoullis", "bernoulli",
     "tangents", "tangent", "tangent_bernoulli_value", "tangent_series_value",
     "genocchis", "genocchi", "genocchi_value",
     "alternating_sums", "alternating_sum",
 ]
-
-TANGENT_ROUTES = ("integer", "bernoulli", "series", "counting")
 
 
 def _require_count(count: int) -> None:
@@ -180,38 +179,19 @@ def tangents(count: int) -> list[int]:
     return t
 
 
-def _as_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} produced a non-integer value {value}")
-    return value.numerator
+def tangent(m: int) -> int:
+    """Tangent number at odd index m, the last of :func:`tangents`.
 
-
-def tangent(m: int, route: str = "integer") -> int:
-    """Tangent number at odd index m, by any of four routes.
-
-    Routes: "integer" (the Knuth-Buckholtz recurrence, no rationals at
-    all), "bernoulli" (explicit formula through Bernoulli numbers),
-    "series" (coefficient extraction from tanh), "counting" (the up-down
-    permutations of length m, counted by :func:`count_alternating`).  All
-    routes agree and return a positive integer.
+    :func:`tangent_bernoulli_value`, :func:`tangent_series_value` and
+    :func:`excedance.permutations.count_alternating` reach the same
+    positive integer by three other routes.
 
     >>> tangent(1)
     1
-    >>> tangent(3, "counting")
-    2
-    >>> tangent(5, "series")
+    >>> tangent(5)
     16
     """
-    k = _require_odd(m)
-    if route == "integer":
-        return tangents(k)[-1]
-    if route == "bernoulli":
-        return _as_integer(tangent_bernoulli_value(m), f"tangent({m}) bernoulli route")
-    if route == "series":
-        return _as_integer(tangent_series_value(m), f"tangent({m}) series route")
-    if route == "counting":
-        return count_alternating(m)
-    raise ValueError(f"route must be one of {TANGENT_ROUTES}, got {route!r}")
+    return tangents(_require_odd(m))[-1]
 
 
 def genocchi_value(n: int) -> Fraction:
@@ -221,8 +201,25 @@ def genocchi_value(n: int) -> Fraction:
     return egf_coeff(genocchi_series(n), n)
 
 
+def genocchis(count: int) -> list[int]:
+    """G_1 .. G_count, read from the tangent prefix: G_1 = 1, G_n = 0 at
+    odd n >= 3, and G_2k = (-1)^k k T_(2k-1) / 4^(k-1).
+
+    >>> genocchis(6)
+    [1, -1, 0, 1, 0, -3]
+    """
+    _require_count(count)
+    values = [1 if n == 1 else 0 for n in range(1, count + 1)]
+    for k, t in enumerate(tangents(count // 2), 1):
+        value, remainder = divmod(k * t, 4 ** (k - 1))
+        if remainder:
+            raise ArithmeticError(f"genocchi({2 * k}) produced a non-integer value")
+        values[2 * k - 1] = -value if k % 2 else value
+    return values
+
+
 def genocchi(n: int) -> int:
-    """Genocchi number at index n >= 1.
+    """Genocchi number at index n >= 1, the last of :func:`genocchis`.
 
     >>> genocchi(1)
     1
@@ -231,20 +228,9 @@ def genocchi(n: int) -> int:
     >>> genocchi(6)
     -3
     """
-    return _as_integer(genocchi_value(n), f"genocchi({n})")
-
-
-def genocchis(count: int) -> list[int]:
-    """G_1 .. G_count, read from one series of order count.
-
-    >>> genocchis(6)
-    [1, -1, 0, 1, 0, -3]
-    """
-    _require_count(count)
-    series = genocchi_series(count)
-    return [
-        _as_integer(egf_coeff(series, n), f"genocchi({n})") for n in range(1, count + 1)
-    ]
+    if n < 1:
+        raise ValueError(f"index must be >= 1, got {n}")
+    return genocchis(n)[-1]
 
 
 def alternating_sums(count: int) -> list[int]:

@@ -16,6 +16,7 @@ from excedance.claims import get_claim, verify_all
 from excedance.exact import factorial
 from excedance.permutations import (
     alternating_sum_bruteforce,
+    count_alternating,
     excedance_distribution,
 )
 from excedance.sequences import (
@@ -71,10 +72,10 @@ def test_criterion_2_alternating_sum_closed_form_equals_bruteforce():
 
 def test_criterion_3_tangent_triple_route_agreement():
     for m in range(1, 26, 2):
-        i = tangent(m, "integer")
-        b = tangent(m, "bernoulli")
-        s = tangent(m, "series")
-        c = tangent(m, "counting")
+        i = tangent(m)
+        b = tangent_bernoulli_value(m)
+        s = tangent_series_value(m)
+        c = count_alternating(m)
         assert i == b == s == c, f"routes disagree at m={m}: {i}, {b}, {s}, {c}"
     _report(3, "tangent routes agree: all four to index 25")
 

@@ -352,6 +352,22 @@ def test_verify_output_matches_the_golden_file(argv, golden):
     assert result.stdout == (DATA / golden).read_text()
 
 
+def test_bench_tracer_runs_verify_unchanged(tmp_path):
+    # bench/traced.py wraps the package's public functions by name and reads
+    # labelled arguments from their signatures; a signature it no longer
+    # matches makes the traced command fail.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["EXCEDANCE_BENCH_TRACE"] = str(tmp_path / "trace.json")
+    result = subprocess.run(
+        [sys.executable, str(Path(SRC).parent / "bench" / "traced.py"),
+         "verify", "--max-n", "25", "--force", "--format", "json", "--no-meta"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (DATA / "verify_max_n_25_force.json").read_text()
+
+
 def test_verify_json_meta_present_by_default():
     result = run_cli("verify", "--format", "json")
     doc = json.loads(result.stdout)

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 from excedance import series
 from excedance.cli import SERIES
 from excedance.exact import factorial
-from excedance.permutations import eulerian_poly_bruteforce
-from excedance.sequences import eulerian_numbers, tangent
+from excedance.permutations import count_alternating, eulerian_poly_bruteforce
+from excedance.sequences import (
+    eulerian_numbers,
+    tangent,
+    tangent_bernoulli_value,
+    tangent_series_value,
+)
 from excedance.series import (
     Series,
     constant_series,
@@ -102,8 +107,8 @@ odd = st.integers(min_value=1, max_value=200).map(lambda k: 2 * k - 1)
 @settings(deadline=None)
 @given(m=odd)
 def test_tangent_routes_agree_wherever_defined(m):
-    value = tangent(m, "integer")
-    assert value == tangent(m, "bernoulli")
+    value = tangent(m)
+    assert value == tangent_bernoulli_value(m)
     if m <= 64:
-        assert value == tangent(m, "series")
-    assert value == tangent(m, "counting")
+        assert value == tangent_series_value(m)
+    assert value == count_alternating(m)

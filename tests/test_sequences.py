@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from excedance import claims, permutations, sequences
+from excedance import claims, permutations, sequences, series
 from excedance.permutations import (
     alternating_sum_bruteforce,
+    count_alternating,
     eulerian_poly_bruteforce,
     excedance_distribution,
 )
@@ -88,16 +89,16 @@ def test_bernoulli_odd_indices_vanish():
 
 def test_tangent_three_routes_agree_to_11():
     for m in range(1, 12, 2):
-        i = tangent(m, "integer")
-        b = tangent(m, "bernoulli")
-        s = tangent(m, "series")
-        c = tangent(m, "counting")
+        i = tangent(m)
+        b = tangent_bernoulli_value(m)
+        s = tangent_series_value(m)
+        c = count_alternating(m)
         assert i == b == s == c == TANGENT_KNOWN[m]
 
 
 def test_tangent_two_routes_agree_to_25():
     for m in range(1, 26, 2):
-        assert tangent(m, "integer") == tangent(m, "bernoulli") == tangent(m, "series")
+        assert tangent(m) == tangent_bernoulli_value(m) == tangent_series_value(m)
 
 
 def test_tangent_values_positive():
@@ -111,20 +112,31 @@ def test_tangent_rational_intermediates_are_integral():
         assert tangent_series_value(m).denominator == 1
 
 
-def test_tangent_rejects_even_or_bad_route():
+def test_tangent_rejects_even_index():
     with pytest.raises(ValueError):
         tangent(4)
     with pytest.raises(ValueError):
         tangent(0)
-    with pytest.raises(ValueError):
-        tangent(3, "guess")
-    assert tangent(13, "counting") == tangent(13) == 22368256
+    assert count_alternating(13) == tangent(13) == 22368256
 
 
-def test_genocchi_matches_bernoulli_to_150():
-    # G_n = 2(1 - 2^n) B_n ties the egf series route to the recurrence.
-    for n in range(1, 151):
-        assert genocchi(n) == 2 * (1 - 2**n) * bernoulli(n)
+def test_genocchis_match_bernoulli_to_500():
+    # G_n = 2(1 - 2^n) B_n ties the tangent prefix route to the Bernoulli
+    # recurrence.
+    b = bernoullis(501)
+    assert genocchis(500) == [2 * (1 - 2**n) * b[n] for n in range(1, 501)]
+
+
+def test_genocchis_match_the_egf_series_to_64():
+    values = genocchis(64)
+    assert values == [genocchi(n) for n in range(1, 65)]
+    assert values == [genocchi_value(n) for n in range(1, 65)]
+
+
+def test_genocchis_do_no_series_division():
+    series._QUOTIENTS.clear()
+    genocchis(500)
+    assert "genocchi" not in series._QUOTIENTS
 
 
 def test_genocchi_values():
