@@ -3,7 +3,9 @@ series printing, and the claim verification report.
 
 Exit codes: 0 on success (for ``verify``: every verdict matches its
 expectation), 1 when ``verify`` finds an unexpected verdict or, under
---strict, any FAIL at all, and 2 on usage or guard errors.  All output is
+--strict, any FAIL at all, and 2 on usage or guard errors.  Each refusal
+raises GuardError where its argument is read, and only ``main`` prints it;
+any other exception is a fault and propagates.  All output is
 deterministic; the only timestamp lives in the JSON report metadata and is
 suppressed by --no-meta.
 """
@@ -50,7 +52,6 @@ SEQUENCES = {
     "eulerian": lambda count: eulerian_rows(count),
     "altsum": lambda count: alternating_sums(count),
 }
-SEQUENCE_NAMES = tuple(SEQUENCES)
 
 # Each constructor takes the order and phi's --t, which only phi reads.
 SERIES = {
@@ -59,18 +60,10 @@ SERIES = {
     "genocchi": lambda order, t: genocchi_series(order),
     "bernoulli": lambda order, t: bernoulli_series(order),
 }
-SERIES_NAMES = tuple(SERIES)
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
     name, count = args.name, args.count
-    if name not in SEQUENCE_NAMES:
-        return _fail_usage(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
     require_within("--count", count, 1, SEQ_COUNT_LIMIT)
     values = SEQUENCES[name](count)
     if name == "eulerian":
@@ -122,20 +115,18 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     name, order = args.name, args.order
-    if name not in SERIES_NAMES:
-        return _fail_usage(f"unknown series {name!r}; expected one of {SERIES_NAMES}")
     require_within("--order", order, 0, SERIES_ORDER_LIMIT)
     t = args.t
     if name == "phi":
         if t is None:
-            return _fail_usage("phi needs --t (any exact rational except 1)")
+            raise GuardError("phi needs --t (any exact rational except 1)")
         if t == 1:
-            return _fail_usage(
+            raise GuardError(
                 "phi is undefined at t=1: the denominator t - e^(x(t-1)) "
                 "has a vanishing constant term there"
             )
     elif t is not None:
-        return _fail_usage(f"--t only applies to phi, not {name!r}")
+        raise GuardError(f"--t only applies to phi, not {name!r}")
     series = SERIES[name](order, t)
     ordinary = [format_exact(c) for c in series.coeffs]
     egf = [format_exact(egf_coeff(series, k)) for k in range(order + 1)]
@@ -158,7 +149,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n > DESK_LIMIT and not args.force:
-        return _fail_usage(
+        raise GuardError(
             f"max_n={args.max_n} exceeds the default verification cap {DESK_LIMIT} "
             "(DESK_LIMIT); pass --force to go higher"
         )
@@ -167,13 +158,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         ids = tuple(part.strip() for part in args.claims.split(",") if part.strip())
         if not ids:
-            return _fail_usage("--claims needs 'all' or a comma-separated id list")
-    try:
-        report = verify_all(args.max_n, ids)
-    except KeyError as exc:
-        return _fail_usage(exc.args[0])
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+            raise GuardError("--claims needs 'all' or a comma-separated id list")
+        for claim_id in ids:
+            # Only this lookup refuses; a KeyError from an evaluator is a fault.
+            try:
+                get_claim(claim_id)
+            except LookupError as exc:
+                raise GuardError(exc.args[0]) from None
+    if args.max_n < 0:
+        raise GuardError(f"max_n must be >= 0, got {args.max_n}")
+    report = verify_all(args.max_n, ids)
     print(render_report(report, args.format, include_meta=not args.no_meta))
     any_fail = any(r.verdict == FAIL for r in report.results)
     unexpected = [
@@ -238,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", parents=[common], help="print the first values of a sequence")
-    p_seq.add_argument("name", help=f"one of {', '.join(SEQUENCE_NAMES)}")
+    p_seq.add_argument("name", choices=SEQUENCES)
     p_seq.add_argument("--count", type=int, required=True, help=f"how many values (1..{SEQ_COUNT_LIMIT})")
     p_seq.set_defaults(func=cmd_seq)
 
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=cmd_dist)
 
     p_series = sub.add_parser("series", parents=[common], help="print a truncated series")
-    p_series.add_argument("name", help=f"one of {', '.join(SERIES_NAMES)}")
+    p_series.add_argument("name", choices=SERIES)
     p_series.add_argument("--order", type=int, required=True,
                           help=f"truncation order (0..{SERIES_ORDER_LIMIT})")
     p_series.add_argument("--t", type=_rational_arg, default=None,
@@ -286,7 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except GuardError as exc:
-        return _fail_usage(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

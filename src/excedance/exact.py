@@ -40,7 +40,7 @@ __all__ = [
 
 
 class GuardError(ValueError):
-    """Raised when a request exceeds a work limit in the table below."""
+    """Raised when input from outside is refused, e.g. past a work limit below."""
 
 
 # Work limits: where each applies, and its measured cost (2 cores, Python 3.11).

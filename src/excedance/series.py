@@ -13,8 +13,9 @@ tanh x, 2x/(e^x+1) and x/(e^x-1).  The last four are quotients, whose
 coefficient at order k does not depend on the truncation: each is one
 grow-only coefficient list, extended by division only when a higher order
 is asked for, and every call returns a prefix of it.  The lists share one
-store of at most eight keys (the three fixed series and phi at up to five
-values of t), which evicts the least recently used key.
+store of at most eight keys, which evicts the least recently used key.
+A default ``verify`` reads nine (tanh, 2x/(e^x+1) and phi at C1's seven
+values of t); the one evicted is read by C1 alone, after C1 is done.
 """
 from __future__ import annotations
 

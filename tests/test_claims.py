@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from excedance import claims
 from excedance.claims import (
     Claim,
     Counterexample,
     claim_ids,
     get_claim,
-    register,
     render_report,
     verify_all,
     verify_claim,
@@ -52,20 +52,24 @@ def test_every_claim_cites_a_source_location():
         assert get_claim(claim_id).paper_ref.strip()
 
 
-def test_register_rejects_missing_citation_and_duplicates():
-    with pytest.raises(ValueError):
-        register(Claim(
-            id="X-no-ref", paper_ref="  ", statement="x", lo=0, hi=1,
-            evaluate=lambda n: [],
-        ))
-    with pytest.raises(ValueError):
-        register(get_claim("C1-egf-standard"))
-    with pytest.raises(ValueError):
-        register(Claim(
-            id="X-empty-range", paper_ref="sec 0", statement="x", lo=3, hi=1,
-            evaluate=lambda n: [],
-        ))
-    assert len(claim_ids()) == 13  # registry unchanged by refusals
+def test_registry_table_is_well_formed():
+    # The registry is a constant table, so its shape is checked here rather
+    # than on every import.
+    ids = [claim.id for claim in claims._REGISTRY.values()]
+    assert ids == list(claims._REGISTRY)
+    assert len(set(ids)) == len(ids) == 13
+    for claim in claims._REGISTRY.values():
+        assert claim.lo <= claim.hi, claim.id
+
+
+def test_c1_points_prove_eq_1_on_its_whole_range():
+    # Both sides at length n are polynomials in t of degree at most n - 1,
+    # so hi distinct points other than t = 1 pin them down for every n <= hi.
+    points = claims._C1_POINTS
+    assert all(isinstance(t, Fraction) for t in points)
+    assert len(set(points)) == len(points) >= get_claim("C1-egf-standard").hi
+    assert Fraction(1) not in points
+    assert set(claims._T_POINTS) <= set(points)
 
 
 def test_claims_build_by_keyword_with_defaults():

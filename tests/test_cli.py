@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from excedance import claims, cli
 from excedance.exact import (
     DESK_LIMIT,
     ENUMERATION_LIMIT,
@@ -322,6 +323,48 @@ def test_verify_unknown_claim():
     result = run_cli("verify", "--claims", "C99-nope")
     assert result.returncode == 2
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--max-n", "-1"), "max_n must be >= 0, got -1"),
+    (("verify", "--claims", "C99-nope"),
+     "unknown claim 'C99-nope'; registered ids: " + ", ".join(claims.claim_ids())),
+    (("verify", "--claims", ","), "--claims needs 'all' or a comma-separated id list"),
+    (("series", "phi", "--order", "3"), "phi needs --t (any exact rational except 1)"),
+    (("series", "phi", "--order", "3", "--t", "1"),
+     "phi is undefined at t=1: the denominator t - e^(x(t-1)) has a vanishing constant term there"),
+    (("series", "tanh", "--order", "3", "--t", "2"), "--t only applies to phi, not 'tanh'"),
+])
+def test_each_refusal_prints_its_message_and_exits_2(argv, message, capsys):
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("seq", "nope", "--count", "3"), cli.SEQUENCES),
+    (("series", "nope", "--order", "3"), cli.SERIES),
+])
+def test_unknown_names_are_refused_with_the_choices_listed(argv, names, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'nope'" in err
+    assert all(repr(name) in err for name in names)
+
+
+@pytest.mark.parametrize("fault", [KeyError("route"), ValueError("bad value")])
+def test_a_fault_inside_a_claim_is_not_a_usage_error(fault, monkeypatch):
+    def evaluate(n):
+        raise fault
+
+    claim = claims._REGISTRY["C5-parity"]._replace(evaluate=evaluate)
+    monkeypatch.setitem(claims._REGISTRY, "C5-parity", claim)
+    with pytest.raises(type(fault)):
+        cli.main(["verify", "--claims", "C5-parity"])
 
 
 def test_verify_json_no_meta_is_byte_identical():
