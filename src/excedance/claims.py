@@ -5,7 +5,9 @@ the exact-arithmetic primitives: series extraction against the
 excedance tally, closed forms against recurrences, and so on.  A claim is
 evaluated per index over a finite range; any index where the two sides
 disagree becomes a counterexample, and the verdict is FAIL exactly when at
-least one counterexample exists.
+least one counterexample exists.  A ClaimResult holds its Claim, the top
+index checked and the counterexamples, and derives its verdict from them;
+only the JSON report's metadata adds a timestamp and the package version.
 
 Claims are registered verbatim as asserted in their source text, including
 the ones that are false; the point of the harness is to find that out
@@ -34,13 +36,7 @@ from .sequences import (
     tangent_series_value,
     tangents,
 )
-from .series import (
-    constant_series,
-    egf_coeff,
-    phi_series,
-    series_add,
-    tanh_series,
-)
+from .series import egf_coeff, phi_series, tanh_series
 
 __all__ = [
     "Claim",
@@ -102,20 +98,20 @@ class Counterexample(NamedTuple):
 
 
 class ClaimResult(NamedTuple):
-    claim_id: str
-    paper_ref: str
-    verdict: str
-    lo: int
+    """A claim checked on its range up to hi, with every disagreement found."""
+
+    claim: Claim
     hi: int
     counterexamples: tuple[Counterexample, ...]
-    notes: str = ""
+
+    @property
+    def verdict(self) -> str:
+        return FAIL if self.counterexamples else PASS
 
 
 class Report(NamedTuple):
     max_n: int
     results: tuple[ClaimResult, ...]
-    generated_at: str = ""
-    version: str = ""
 
 
 def claim_ids() -> tuple[str, ...]:
@@ -137,52 +133,25 @@ def verify_claim(claim_id: str, max_n: int = DESK_LIMIT) -> ClaimResult:
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     hi = min(claim.hi, max_n)
-    counterexamples = []
-    for n in range(claim.lo, hi + 1):
-        for lhs, rhs in claim.evaluate(n):
-            if lhs != rhs:
-                counterexamples.append(Counterexample(n, lhs, rhs))
-    verdict = FAIL if counterexamples else PASS
-    return ClaimResult(
-        claim_id=claim.id,
-        paper_ref=claim.paper_ref,
-        verdict=verdict,
-        lo=claim.lo,
-        hi=hi,
-        counterexamples=tuple(counterexamples),
-        notes=claim.notes,
+    counterexamples = tuple(
+        Counterexample(n, lhs, rhs)
+        for n in range(claim.lo, hi + 1)
+        for lhs, rhs in claim.evaluate(n)
+        if lhs != rhs
     )
+    return ClaimResult(claim, hi, counterexamples)
 
 
 def verify_all(
     max_n: int = DESK_LIMIT, ids: tuple[str, ...] | list[str] | None = None
 ) -> Report:
     """One result per requested claim, always in registry order."""
-    # Imported here: only this function reads the clock, and only the JSON
-    # report's metadata shows it.
-    from datetime import datetime, timezone
-
-    wanted = set(ids) if ids is not None else None
-    if wanted is not None:
-        for claim_id in ids:
-            get_claim(claim_id)  # surface the first unknown id before any work
+    # Looking every id up first surfaces the first unknown one before any work.
+    wanted = _REGISTRY.keys() if ids is None else {get_claim(i).id for i in ids}
     results = tuple(
-        verify_claim(claim_id, max_n)
-        for claim_id in _REGISTRY
-        if wanted is None or claim_id in wanted
+        verify_claim(claim_id, max_n) for claim_id in _REGISTRY if claim_id in wanted
     )
-    return Report(
-        max_n=max_n,
-        results=results,
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        version=_package_version(),
-    )
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
+    return Report(max_n, results)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +172,7 @@ def _render_text(report: Report) -> str:
     rows = []
     for r in report.results:
         first = r.counterexamples[0].render() if r.counterexamples else "-"
-        rows.append((r.claim_id, r.paper_ref, f"[{r.lo},{r.hi}]", r.verdict, first))
+        rows.append((r.claim.id, r.claim.paper_ref, f"[{r.claim.lo},{r.hi}]", r.verdict, first))
     return format_table(header, rows)
 
 
@@ -211,20 +180,27 @@ def _render_json(report: Report, *, include_meta: bool) -> str:
     doc: dict = {"max_n": report.max_n}
     doc["results"] = [
         {
-            "id": r.claim_id,
-            "paper_ref": r.paper_ref,
+            "id": r.claim.id,
+            "paper_ref": r.claim.paper_ref,
             "verdict": r.verdict,
-            "range": [r.lo, r.hi],
+            "range": [r.claim.lo, r.hi],
             "counterexamples": [
                 {"n": c.n, "lhs": format_exact(c.lhs), "rhs": format_exact(c.rhs)}
                 for c in r.counterexamples
             ],
-            "notes": r.notes,
+            "notes": r.claim.notes,
         }
         for r in report.results
     ]
     if include_meta:
-        doc["meta"] = {"timestamp": report.generated_at, "version": report.version}
+        # Imported here: only this metadata reads the clock, so text and
+        # --no-meta runs never load datetime.
+        from datetime import datetime, timezone
+
+        from . import __version__
+
+        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        doc["meta"] = {"timestamp": timestamp, "version": __version__}
     return json.dumps(doc, indent=2)
 
 
@@ -248,9 +224,8 @@ def _eval_egf_shifted(n: int) -> Pairs:
 
 
 def _eval_phi_tanh(n: int) -> Pairs:
-    lhs = phi_series(Fraction(-1), 12)
-    rhs = series_add(constant_series(1, 12), tanh_series(12))
-    return [(lhs.coeffs[n], rhs.coeffs[n])]
+    # The constant 1 adds to coefficient 0 only.
+    return [(phi_series(Fraction(-1), 12).coeffs[n], (n == 0) + tanh_series(12).coeffs[n])]
 
 
 def _eval_sum_rule(n: int) -> Pairs:

@@ -44,7 +44,9 @@ from .series import (
 )
 
 # Each prefix gives the first count values, or rows of the Eulerian triangle.
-# The lambdas look each function up at call time, as SERIES does.
+# The lambdas look each function up at call time, as SERIES does, because
+# bench/traced.py rebinds this module's globals to traced wrappers: a table
+# holding the functions themselves would keep calling the unwrapped ones.
 SEQUENCES = {
     "tangent": lambda count: tangents(count),
     "bernoulli": lambda count: bernoullis(count),
@@ -171,9 +173,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(render_report(report, args.format, include_meta=not args.no_meta))
     any_fail = any(r.verdict == FAIL for r in report.results)
     unexpected = [
-        r.claim_id
+        r.claim.id
         for r in report.results
-        if r.verdict != get_claim(r.claim_id).expected_verdict(args.max_n)
+        if r.verdict != r.claim.expected_verdict(args.max_n)
     ]
     if args.strict and any_fail:
         return 1

@@ -113,13 +113,11 @@ def as_rational(value: Fraction | int) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a plain integer string into an exact rational."""
-    return Fraction(text.strip())
+    return Fraction(text)
 
 
 def format_exact(value: ExactValue) -> str:
     """Render an exact value: plain decimal for integers, "p/q" otherwise."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
     return str(value)
 
 

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from excedance.claims import get_claim, verify_all
+from excedance.claims import verify_all
 from excedance.exact import factorial
 from excedance.permutations import (
     alternating_sum_bruteforce,
@@ -146,8 +146,8 @@ def test_criterion_6_claims_verdict_table():
 def test_criterion_6b_library_verdicts_match_cli():
     report = verify_all(8)
     for result in report.results:
-        assert result.verdict == EXPECTED_VERDICTS[result.claim_id], result.claim_id
-        assert result.verdict == get_claim(result.claim_id).expected_verdict(8)
+        assert result.verdict == EXPECTED_VERDICTS[result.claim.id], result.claim.id
+        assert result.verdict == result.claim.expected_verdict(8)
     _report(6, "library route reproduces the same verdict table in-process")
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import excedance
 from excedance import claims
 from excedance.claims import (
     Claim,
@@ -85,12 +86,12 @@ def test_claims_build_by_keyword_with_defaults():
 def test_verdict_table_at_default_bound():
     report = verify_all(8)
     assert len(report.results) == 13
-    assert {r.claim_id: r.verdict for r in report.results} == EXPECTED_AT_8
+    assert {r.claim.id: r.verdict for r in report.results} == EXPECTED_AT_8
 
 
 def test_first_counterexamples_are_the_documented_ones():
     report = verify_all(8)
-    by_id = {r.claim_id: r for r in report.results}
+    by_id = {r.claim.id: r for r in report.results}
     for claim_id, (n, lhs, rhs) in FIRST_COUNTEREXAMPLES.items():
         first = by_id[claim_id].counterexamples[0]
         assert (first.n, first.lhs, first.rhs) == (n, lhs, rhs), claim_id
@@ -137,9 +138,9 @@ def test_single_claim_examples():
 
 def test_range_is_clamped_to_bound():
     result = verify_claim("C3-phi-tanh", 8)
-    assert (result.lo, result.hi) == (0, 8)
+    assert (result.claim.lo, result.hi) == (0, 8)
     result = verify_claim("C3-phi-tanh", 12)
-    assert (result.lo, result.hi) == (0, 12)
+    assert (result.claim.lo, result.hi) == (0, 12)
 
 
 def test_unknown_claim_and_guard_errors():
@@ -153,7 +154,7 @@ def test_unknown_claim_and_guard_errors():
 def test_forced_full_ranges_keep_expected_verdicts():
     report = verify_all(13)
     for result in report.results:
-        claim = get_claim(result.claim_id)
+        claim = result.claim
         assert result.verdict == claim.expected_verdict(13)
         assert result.hi == min(claim.hi, 13)
 
@@ -169,7 +170,7 @@ def test_reports_are_deterministic():
 
 def test_subset_requests_preserve_registry_order():
     report = verify_all(8, ids=["C8-genocchi-relation", "C2-egf-shifted"])
-    assert [r.claim_id for r in report.results] == [
+    assert [r.claim.id for r in report.results] == [
         "C2-egf-shifted",
         "C8-genocchi-relation",
     ]
@@ -232,7 +233,8 @@ def test_json_meta_block():
     doc = json.loads(render_report(report, "json"))
     assert list(doc) == ["max_n", "results", "meta"]
     assert set(doc["meta"]) == {"timestamp", "version"}
-    assert doc["meta"]["version"]
+    assert doc["meta"]["version"] == excedance.__version__
+    assert doc["meta"]["timestamp"].endswith("+00:00")
 
 
 def test_render_rejects_unknown_format():

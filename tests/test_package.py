@@ -35,3 +35,15 @@ def test_cli_import_leaves_slow_modules_unloaded():
                             env=env, timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_text_verify_leaves_datetime_unloaded():
+    # Only the JSON metadata reads the clock, so a text report never loads it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, excedance.cli; code = excedance.cli.main(['verify']); "
+            "print(code, 'datetime' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
