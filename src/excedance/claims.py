@@ -3,11 +3,13 @@
 Every claim pairs a left and a right computation that share nothing beyond
 the exact-arithmetic primitives: series extraction against the
 excedance tally, closed forms against recurrences, and so on.  A claim is
-evaluated per index over a finite range; any index where the two sides
-disagree becomes a counterexample, and the verdict is FAIL exactly when at
-least one counterexample exists.  A ClaimResult holds its Claim, the top
-index checked and the counterexamples, and derives its verdict from them;
-only the JSON report's metadata adds a timestamp and the package version.
+evaluated over its whole finite index range at once, so each series and
+prefix it reads is computed once, at the top of the range.  Any index
+where the two sides disagree becomes a counterexample, and the verdict is
+FAIL exactly when at least one counterexample exists.  A ClaimResult
+holds its Claim, the top index checked and the counterexamples, and
+derives its verdict from them; only the JSON report's metadata adds a
+timestamp and the package version.
 
 Claims are registered verbatim as asserted in their source text, including
 the ones that are false; the point of the harness is to find that out
@@ -16,27 +18,26 @@ registry records the first failing index, which drives the expected-verdict
 logic of the command-line interface: a FAIL that appears exactly where it
 should is a confirmation, not a regression.
 
-The registry is a constant table, written once at the end of this module
-in report order.  Tests check it: every claim cites its source, ids are
-unique and equal their keys, and each range has lo <= hi.
+The registry is a constant table at the end of this module, in report
+order, keyed by each claim's own id.  Tests check it: every claim cites
+its source, no two claims share an id, and each range has lo <= hi.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
 from .permutations import alternating_sum_bruteforce, count_alternating, eulerian_poly_bruteforce
 from .sequences import (
-    alternating_sum,
-    genocchi,
-    genocchi_value,
+    alternating_sums,
+    genocchis,
     tangent_bernoulli_value,
     tangent_series_value,
     tangents,
 )
-from .series import egf_coeff, phi_series, tanh_series
+from .series import egf_coeff, genocchi_series, phi_series, tanh_series
 
 __all__ = [
     "Claim",
@@ -53,8 +54,8 @@ __all__ = [
 PASS = "PASS"
 FAIL = "FAIL"
 
-# Pairs of exact values produced per index by a claim evaluator.
-Pairs = list[tuple[ExactValue, ExactValue]]
+# (n, lhs, rhs) triples of exact values produced by a claim evaluator.
+Triples = Iterator[tuple[int, ExactValue, ExactValue]]
 
 # Evaluation points for the generating-function claims; kept small and
 # mixed-sign/mixed-size so a convention slip cannot cancel out.
@@ -65,11 +66,12 @@ _C1_POINTS = _T_POINTS + (Fraction(0), Fraction(3), Fraction(-1, 2))
 
 
 class Claim(NamedTuple):
-    """A single identity with an index range and a per-index evaluator.
+    """A single identity with an index range and an evaluator over it.
 
-    ``evaluate(n)`` returns (lhs, rhs) pairs of exact values; several pairs
-    per index are allowed (for example one per evaluation point t).  An
-    empty list means the identity says nothing at that index.
+    ``evaluate(ns)`` takes the range of indices to check and yields
+    (n, lhs, rhs) triples of exact values in increasing n; several triples
+    per index are allowed (for example one per evaluation point t), and an
+    index with none is one the identity says nothing about.
     """
 
     id: str
@@ -77,7 +79,7 @@ class Claim(NamedTuple):
     statement: str
     lo: int
     hi: int
-    evaluate: Callable[[int], Pairs]
+    evaluate: Callable[[range], Triples]
     expected_first_failure: int | None = None
     notes: str = ""
 
@@ -135,8 +137,7 @@ def verify_claim(claim_id: str, max_n: int = DESK_LIMIT) -> ClaimResult:
     hi = min(claim.hi, max_n)
     counterexamples = tuple(
         Counterexample(n, lhs, rhs)
-        for n in range(claim.lo, hi + 1)
-        for lhs, rhs in claim.evaluate(n)
+        for n, lhs, rhs in claim.evaluate(range(claim.lo, hi + 1))
         if lhs != rhs
     )
     return ClaimResult(claim, hi, counterexamples)
@@ -205,126 +206,132 @@ def _render_json(report: Report, *, include_meta: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# claim evaluators
+# claim evaluators: each reads its prefixes and series once, at the top
+# order ns.stop - 1, which is hi >= 0 even where ns is empty
 
 
-def _eval_egf_standard(n: int) -> Pairs:
-    # Read at C1's top order, so each point's series is divided once.
-    return [
-        (egf_coeff(phi_series(t, 7), n), eulerian_poly_bruteforce(n, t)) for t in _C1_POINTS
-    ]
+def _eval_egf_standard(ns: range) -> Triples:
+    phis = [phi_series(t, ns.stop - 1) for t in _C1_POINTS]
+    for n in ns:
+        for t, phi in zip(_C1_POINTS, phis):
+            yield n, egf_coeff(phi, n), eulerian_poly_bruteforce(n, t)
 
 
-def _eval_egf_shifted(n: int) -> Pairs:
+def _eval_egf_shifted(ns: range) -> Triples:
     # Sec 2.2 weights each permutation by t^(exc+1); length 0 keeps weight 1.
-    return [
-        (egf_coeff(phi_series(t, n), n), t * eulerian_poly_bruteforce(n, t) if n else 1)
-        for t in _T_POINTS
-    ]
+    phis = [phi_series(t, ns.stop - 1) for t in _T_POINTS]
+    for n in ns:
+        for t, phi in zip(_T_POINTS, phis):
+            yield n, egf_coeff(phi, n), t * eulerian_poly_bruteforce(n, t) if n else 1
 
 
-def _eval_phi_tanh(n: int) -> Pairs:
+def _eval_phi_tanh(ns: range) -> Triples:
+    phi = phi_series(Fraction(-1), ns.stop - 1).coeffs
+    tanh = tanh_series(ns.stop - 1).coeffs
     # The constant 1 adds to coefficient 0 only.
-    return [(phi_series(Fraction(-1), 12).coeffs[n], (n == 0) + tanh_series(12).coeffs[n])]
+    return ((n, phi[n], (n == 0) + tanh[n]) for n in ns)
 
 
-def _eval_sum_rule(n: int) -> Pairs:
-    return [(alternating_sum(n), alternating_sum_bruteforce(n))]
+def _eval_sum_rule(ns: range) -> Triples:
+    sums = alternating_sums(ns.stop)
+    return ((n, sums[n], alternating_sum_bruteforce(n)) for n in ns)
 
 
-def _eval_even_parity(n: int) -> Pairs:
-    if n % 2:
-        return []
-    return [(alternating_sum_bruteforce(n), 0)]
+def _eval_even_parity(ns: range) -> Triples:
+    return ((n, alternating_sum_bruteforce(n), 0) for n in ns if n % 2 == 0)
 
 
-def _eval_tangent_routes(m: int) -> Pairs:
-    if m % 2 == 0:
-        return []
-    values = [
-        tangents((m + 1) // 2)[-1],
-        tangent_bernoulli_value(m),
-        tangent_series_value(m),
-        count_alternating(m),
-    ]
-    return list(zip(values, values[1:]))
+def _eval_tangent_routes(ns: range) -> Triples:
+    integers = tangents(ns.stop // 2)
+    for m in ns:
+        if m % 2:
+            values = [
+                integers[m // 2],
+                tangent_bernoulli_value(m),
+                tangent_series_value(m),
+                count_alternating(m),
+            ]
+            for lhs, rhs in zip(values, values[1:]):
+                yield m, lhs, rhs
 
 
-def _eval_integrality(n: int) -> Pairs:
-    pairs: Pairs = []
-    if n % 2 == 1 and n <= 25:
-        pairs.append((tangent_bernoulli_value(n).denominator, 1))
-        pairs.append((tangent_series_value(n).denominator, 1))
-    if 1 <= n <= 16:
-        pairs.append((genocchi_value(n).denominator, 1))
-    return pairs
+def _eval_integrality(ns: range) -> Triples:
+    tanh = tanh_series(ns.stop - 1)
+    genocchi = genocchi_series(min(ns.stop - 1, 16))
+    for n in ns:
+        if n % 2:
+            # The series route's sign does not change its denominator.
+            yield n, tangent_bernoulli_value(n).denominator, 1
+            yield n, egf_coeff(tanh, n).denominator, 1
+        if n <= 16:
+            yield n, egf_coeff(genocchi, n).denominator, 1
 
 
-def _eval_genocchi_relation(n: int) -> Pairs:
-    sign = -1 if ((n + 1) // 2) % 2 else 1
-    return [(alternating_sum_bruteforce(n), sign * genocchi(n + 1))]
+def _eval_genocchi_relation(ns: range) -> Triples:
+    g = genocchis(ns.stop)  # G(1) .. G(ns.stop)
+    for n in ns:
+        sign = -1 if ((n + 1) // 2) % 2 else 1
+        yield n, alternating_sum_bruteforce(n), sign * g[n]
 
 
-def _claimed_genocchi_recurrence(n: int) -> int:
+def _eval_genocchi_recurrence(ns: range) -> Triples:
     # Self-contained recurrence route: seeds index 1 and consumes only its
     # own earlier values, never the series.  Index 0 is an empty sum, 0.
-    g = [0, 1]
-    for m in range(2, n + 1):
-        g.append(-sum(binomial(m, k) * g[k] for k in range(1, m)))
-    return g[n]
+    claimed = [0, 1]
+    for m in range(2, ns.stop):
+        claimed.append(-sum(binomial(m, k) * claimed[k] for k in range(1, m)))
+    g = genocchis(ns.stop - 1)  # G(1) .. G(ns.stop - 1)
+    return ((n, claimed[n], g[n - 1]) for n in ns)
 
 
-def _eval_genocchi_recurrence(n: int) -> Pairs:
-    return [(_claimed_genocchi_recurrence(n), genocchi(n))]
-
-
-def _eval_congruences(n: int) -> Pairs:
-    if n % 2 == 0:
-        return []
-    value = alternating_sum(n)
-    pairs: Pairs = [(value % 2, 0)]
-    if n % 4 == 3:
-        pairs.append((value % 4, 0))
-    elif n >= 5:  # n % 4 == 1
-        pairs.append((value % 4, 2))
-    return pairs
+def _eval_congruences(ns: range) -> Triples:
+    sums = alternating_sums(ns.stop)
+    for n in ns:
+        if n % 2:
+            yield n, sums[n] % 2, 0
+            if n % 4 == 3:
+                yield n, sums[n] % 4, 0
+            elif n >= 5:  # n % 4 == 1
+                yield n, sums[n] % 4, 2
 
 
 def _sign_exponent(n: int, k: int) -> int:
     return (n + 1) // 2 - (k + 1) // 2
 
 
-def _eval_signed_recurrence(n: int) -> Pairs:
-    lhs = sum(
-        (-1) ** _sign_exponent(n, k) * binomial(n + 1, k) * alternating_sum(k)
-        for k in range(1, n)
-    )
-    return [(lhs, alternating_sum_bruteforce(n))]
+def _eval_signed_recurrence(ns: range) -> Triples:
+    sums = alternating_sums(ns.stop)
+    for n in ns:
+        lhs = sum(
+            (-1) ** _sign_exponent(n, k) * binomial(n + 1, k) * sums[k] for k in range(1, n)
+        )
+        yield n, lhs, alternating_sum_bruteforce(n)
 
 
-def _eval_insertion_recurrence(n: int) -> Pairs:
-    lhs = sum((-1) ** k * binomial(n, k) * alternating_sum(k) for k in range(n + 1))
-    return [(lhs, alternating_sum_bruteforce(n + 1))]
+def _eval_insertion_recurrence(ns: range) -> Triples:
+    sums = alternating_sums(ns.stop)
+    for n in ns:
+        lhs = sum((-1) ** k * binomial(n, k) * sums[k] for k in range(n + 1))
+        yield n, lhs, alternating_sum_bruteforce(n + 1)
 
 
-def _eval_odd_function(n: int) -> Pairs:
-    if n % 2:
-        return []
-    return [(tanh_series(20).coeffs[n], Fraction(0))]
+def _eval_odd_function(ns: range) -> Triples:
+    tanh = tanh_series(ns.stop - 1).coeffs
+    return ((n, tanh[n], Fraction(0)) for n in ns if n % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
 # the registry itself: a constant table in report order, checked by tests
 
-_REGISTRY: dict[str, Claim] = {
-    "C1-egf-standard": Claim(
+_REGISTRY: dict[str, Claim] = {c.id: c for c in (
+    Claim(
         id="C1-egf-standard",
         paper_ref="eq (1)",
         statement="n! * [x^n] phi(x,t) = sum over length-n permutations of t^exc",
         lo=0, hi=7,
         evaluate=_eval_egf_standard,
     ),
-    "C2-egf-shifted": Claim(
+    Claim(
         id="C2-egf-shifted",
         paper_ref="sec 2.2",
         statement="n! * [x^n] phi(x,t) = sum over length-n permutations of t^(exc+1)",
@@ -333,42 +340,42 @@ _REGISTRY: dict[str, Claim] = {
         expected_first_failure=1,
         notes="eq (1) expands with weight t^exc, not t^(exc+1); see C1",
     ),
-    "C3-phi-tanh": Claim(
+    Claim(
         id="C3-phi-tanh",
         paper_ref="sec 3.2",
         statement="phi(x,-1) = 1 + tanh x, coefficient for coefficient (order 12)",
         lo=0, hi=12,
         evaluate=_eval_phi_tanh,
     ),
-    "C4-sum-rule": Claim(
+    Claim(
         id="C4-sum-rule",
         paper_ref="sec 3.3",
         statement="S(0)=1, S(2n)=0, S(2n-1) = (-1)^(n-1) T(2n-1)",
         lo=0, hi=8,
         evaluate=_eval_sum_rule,
     ),
-    "C5-parity": Claim(
+    Claim(
         id="C5-parity",
         paper_ref="sec 4.2",
         statement="S(n) = 0 for even n >= 2",
         lo=2, hi=8,
         evaluate=_eval_even_parity,
     ),
-    "C6-tangent-bernoulli": Claim(
+    Claim(
         id="C6-tangent-bernoulli",
         paper_ref="eq (2)",
         statement="tangent numbers: Bernoulli formula = tanh series = alternating count",
         lo=1, hi=11,
         evaluate=_eval_tangent_routes,
     ),
-    "C7-integrality": Claim(
+    Claim(
         id="C7-integrality",
         paper_ref="sec 4.1",
         statement="T and G computed through rational intermediates have denominator 1",
         lo=1, hi=25,
         evaluate=_eval_integrality,
     ),
-    "C8-genocchi-relation": Claim(
+    Claim(
         id="C8-genocchi-relation",
         paper_ref="sec 4.3",
         statement="S(n) = (-1)^floor((n+1)/2) * G(n+1)",
@@ -377,7 +384,7 @@ _REGISTRY: dict[str, Claim] = {
         expected_first_failure=3,
         notes="the confirmed pairing is S(2n-1) = (-1)^(n-1) T(2n-1), see C4",
     ),
-    "C9-genocchi-recurrence": Claim(
+    Claim(
         id="C9-genocchi-recurrence",
         paper_ref="sec 4.3",
         statement="G(n) = -sum_{k=1..n-1} C(n,k) G(k) with G(1) = 1",
@@ -386,7 +393,7 @@ _REGISTRY: dict[str, Claim] = {
         expected_first_failure=2,
         notes="the series gives G(2) = -1 while the stated recurrence forces -2",
     ),
-    "C10-congruences": Claim(
+    Claim(
         id="C10-congruences",
         paper_ref="sec 4.3",
         statement="S(2n-1) even; S(4n-1) = 0 (mod 4); S(4n+1) = 2 (mod 4)",
@@ -395,7 +402,7 @@ _REGISTRY: dict[str, Claim] = {
         expected_first_failure=1,
         notes="S(1) = 1 is odd, so the parity chain fails at the first odd index",
     ),
-    "C11-signed-recurrence": Claim(
+    Claim(
         id="C11-signed-recurrence",
         paper_ref="sec 4.3",
         statement=(
@@ -407,7 +414,7 @@ _REGISTRY: dict[str, Claim] = {
         expected_first_failure=3,
         notes="the stated sign exponent never reproduces the brute-force values",
     ),
-    "C12-insertion-recurrence": Claim(
+    Claim(
         id="C12-insertion-recurrence",
         paper_ref="sec 4.4",
         statement="S(n+1) = sum_{k=0..n} (-1)^k C(n,k) S(k)",
@@ -416,11 +423,11 @@ _REGISTRY: dict[str, Claim] = {
         expected_first_failure=2,
         notes="predicts S(3) = -1 while enumeration gives -2; odd targets match",
     ),
-    "C13-odd-function": Claim(
+    Claim(
         id="C13-odd-function",
         paper_ref="sec 4.2",
         statement="tanh x is odd: even-index series coefficients vanish (order 20)",
         lo=0, hi=20,
         evaluate=_eval_odd_function,
     ),
-}
+)}

@@ -69,25 +69,23 @@ def cmd_seq(args: argparse.Namespace) -> int:
     require_within("--count", count, 1, SEQ_COUNT_LIMIT)
     values = SEQUENCES[name](count)
     if name == "eulerian":
-        rows = ([str(v) for v in row] for row in values)
-        if args.format == "json":
-            # Row by row, the bytes json.dumps(..., indent=2) would give for
-            # the whole document, which would hold every row at once.
-            print("{", f'  "name": "{name}",', f'  "count": {count},', '  "rows": [', sep="\n")
-            separator = ""
-            for row in rows:
-                print(separator + "    " + json.dumps(row, indent=2).replace("\n", "\n    "), end="")
-                separator = ",\n"
-            print("\n  ]\n}")
-        else:
-            for row in rows:
-                print(" ".join(row))
-        return 0
-    rendered = [format_exact(v) for v in values]
-    if args.format == "json":
-        print(json.dumps({"name": name, "count": count, "values": rendered}, indent=2))
+        key, items = "rows", ([str(v) for v in row] for row in values)
     else:
-        print(", ".join(rendered))
+        key, items = "values", (format_exact(v) for v in values)
+    if args.format == "json":
+        # Item by item, the bytes json.dumps(..., indent=2) would give for
+        # the whole document, which would hold every item at once.
+        print("{", f'  "name": "{name}",', f'  "count": {count},', f'  "{key}": [', sep="\n")
+        separator = ""
+        for item in items:
+            print(separator + "    " + json.dumps(item, indent=2).replace("\n", "\n    "), end="")
+            separator = ",\n"
+        print("\n  ]\n}")
+    elif name == "eulerian":
+        for row in items:
+            print(" ".join(row))
+    else:
+        print(", ".join(items))
     return 0
 
 
@@ -218,9 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--no-meta", action="store_true",
-        help="omit timestamp/version metadata from JSON output",
+        help="omit the timestamp/version metadata from JSON output "
+             "(only verify's JSON has any)",
     )
-    common.add_argument(
+    # Only dist and verify have a guard that --force raises.
+    forcing = argparse.ArgumentParser(add_help=False)
+    forcing.add_argument(
         "--force", action="store_true",
         help=f"raise desk-scale guards (enumeration up to length {ENUMERATION_LIMIT}, "
              f"verification past max-n {DESK_LIMIT})",
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--count", type=int, required=True, help=f"how many values (1..{SEQ_COUNT_LIMIT})")
     p_seq.set_defaults(func=cmd_seq)
 
-    p_dist = sub.add_parser("dist", parents=[common], help="excedance distribution table")
+    p_dist = sub.add_parser("dist", parents=[common, forcing], help="excedance distribution table")
     p_dist.add_argument("n", type=int, help=f"permutation length (1..{DESK_LIMIT}, "
                                             f"{ENUMERATION_LIMIT} with --force)")
     p_dist.set_defaults(func=cmd_dist)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evaluation point for phi (exact rational, not 1)")
     p_series.set_defaults(func=cmd_series)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify registered claims")
+    p_verify = sub.add_parser("verify", parents=[common, forcing], help="verify registered claims")
     p_verify.add_argument("--claims", default="all",
                           help="'all' or comma-separated claim ids (default: all)")
     p_verify.add_argument("--max-n", type=int, default=DESK_LIMIT, dest="max_n",

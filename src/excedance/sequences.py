@@ -19,12 +19,11 @@ claims module can cross-validate them:
 
 Each sequence has one public prefix function that computes its first
 ``count`` values from scratch (:func:`eulerian_rows` yields rows), and a
-scalar reads its index from the matching prefix.  Only the series
-prefixes of :mod:`excedance.series` are kept between calls.  Everything
-is exact: the rational routes return their raw fractions, whose
-denominators the claims check, and the one integer division, in
-:func:`genocchis`, raises on a non-zero remainder, so a convention slip
-fails loudly instead of rounding.
+scalar reads its index from the matching prefix.  Nothing is kept between
+calls.  Everything is exact: the rational routes return their raw
+fractions, whose denominators the claims check, and the one integer
+division, in :func:`genocchis`, raises on a non-zero remainder, so a
+convention slip fails loudly instead of rounding.
 """
 from __future__ import annotations
 

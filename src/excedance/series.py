@@ -9,17 +9,13 @@ therefore always visible in the result's order.
 
 The named constructors build the generating functions this package works
 with: e^(a*x), the Eulerian-polynomial generator (t-1)/(t - e^(x(t-1))),
-tanh x, 2x/(e^x+1) and x/(e^x-1).  The last four are quotients, whose
-coefficient at order k does not depend on the truncation: each is one
-grow-only coefficient list, extended by division only when a higher order
-is asked for, and every call returns a prefix of it.  The lists share one
-store of at most eight keys, which evicts the least recently used key.
-A default ``verify`` reads nine (tanh, 2x/(e^x+1) and phi at C1's seven
-values of t); the one evicted is read by C1 alone, after C1 is done.
+tanh x, 2x/(e^x+1) and x/(e^x-1).  The last four are quotients, each
+divided afresh on every call; nothing is kept between calls.  Their
+coefficient at order k does not depend on the truncation, so a caller that
+needs several coefficients reads them from one series at the top order.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 
 from .exact import as_rational, factorial, format_exact
@@ -104,13 +100,15 @@ def series_mul(a: Series, b: Series) -> Series:
     return Series(out)
 
 
-def _divide(num: tuple, den: tuple[Fraction, ...], out: list[Fraction]) -> None:
-    # Extend out in place up to len(den) coefficients by solving out*den = num
-    # one coefficient at a time; num reads as zero past its end, and den[0]
+def _divide(num: tuple, den: tuple[Fraction, ...]) -> Series:
+    # The quotient num/den truncated at the order of den, solved one
+    # coefficient at a time; num reads as zero past its end, and den[0]
     # must be nonzero.
-    for k in range(len(out), len(den)):
+    out: list[Fraction] = []
+    for k in range(len(den)):
         acc = sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
         out.append(((num[k] if k < len(num) else 0) - acc) / den[0])
+    return Series(out)
 
 
 def series_reciprocal(a: Series) -> Series:
@@ -124,9 +122,7 @@ def series_reciprocal(a: Series) -> Series:
         raise ValueError(
             "series with zero constant term is not invertible as a power series"
         )
-    out: list[Fraction] = []
-    _divide((1,), a.coeffs, out)
-    return Series(tuple(out))
+    return _divide((1,), a.coeffs)
 
 
 def exp_linear(a: Fraction | int, order: int) -> Series:
@@ -145,25 +141,6 @@ def exp_linear(a: Fraction | int, order: int) -> Series:
     return Series(tuple(a**k / factorial(k) for k in range(order + 1)))
 
 
-# The named quotients' coefficient lists, least recently used first.
-_QUOTIENTS: dict[object, list[Fraction]] = {}
-_QUOTIENTS_MAX = 8
-
-
-def _quotient_prefix(key: object, order: int, terms: Callable[[int], tuple]) -> Series:
-    # terms(order) gives the numerator and denominator truncated at order;
-    # it runs only when the stored prefix is too short.
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs = _QUOTIENTS.pop(key, [])
-    if len(coeffs) <= order:
-        _divide(*terms(order), coeffs)
-    _QUOTIENTS[key] = coeffs
-    if len(_QUOTIENTS) > _QUOTIENTS_MAX:
-        del _QUOTIENTS[next(iter(_QUOTIENTS))]
-    return Series(tuple(coeffs[: order + 1]))
-
-
 def phi_series(t: Fraction | int, order: int) -> Series:
     """Truncation of (t-1) / (t - e^(x(t-1))) for t != 1.
 
@@ -178,11 +155,8 @@ def phi_series(t: Fraction | int, order: int) -> Series:
             "t=1 degenerates the formula (denominator has zero constant term); "
             "the value there is n! per index"
         )
-
-    def terms(n: int):
-        return (t - 1,), series_sub(constant_series(t, n), exp_linear(t - 1, n)).coeffs
-
-    return _quotient_prefix(("phi", t), order, terms)
+    den = series_sub(constant_series(t, order), exp_linear(t - 1, order))
+    return _divide((t - 1,), den.coeffs)
 
 
 def tanh_series(order: int) -> Series:
@@ -191,19 +165,13 @@ def tanh_series(order: int) -> Series:
     All even-index coefficients cancel exactly in the arithmetic; tanh is
     odd, and the suite checks the zeros rather than forcing them.
     """
-    def terms(n: int):
-        up, down = exp_linear(1, n), exp_linear(-1, n)
-        return series_sub(up, down).coeffs, series_add(up, down).coeffs
-
-    return _quotient_prefix("tanh", order, terms)
+    up, down = exp_linear(1, order), exp_linear(-1, order)
+    return _divide(series_sub(up, down).coeffs, series_add(up, down).coeffs)
 
 
 def genocchi_series(order: int) -> Series:
     """Truncation of 2x / (e^x + 1); n! * c[n] is always an integer."""
-    def terms(n: int):
-        return (0, 2), series_add(exp_linear(1, n), constant_series(1, n)).coeffs
-
-    return _quotient_prefix("genocchi", order, terms)
+    return _divide((0, 2), series_add(exp_linear(1, order), constant_series(1, order)).coeffs)
 
 
 def bernoulli_series(order: int) -> Series:
@@ -214,10 +182,9 @@ def bernoulli_series(order: int) -> Series:
     1/(k+1)!, and the result is its reciprocal.  n! * c[n] is the n-th
     Bernoulli number in the convention where index 1 gives -1/2.
     """
-    def terms(n: int):
-        return (1,), tuple(Fraction(1, factorial(k + 1)) for k in range(n + 1))
-
-    return _quotient_prefix("bernoulli", order, terms)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return _divide((1,), tuple(Fraction(1, factorial(k + 1)) for k in range(order + 1)))
 
 
 def egf_coeff(s: Series, n: int) -> Fraction:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import excedance
-from excedance import claims
+from excedance import claims, series
 from excedance.claims import (
     Claim,
     Counterexample,
@@ -73,9 +73,26 @@ def test_c1_points_prove_eq_1_on_its_whole_range():
     assert set(claims._T_POINTS) <= set(points)
 
 
+@pytest.mark.parametrize("claim_id, divisions", [
+    ("C1-egf-standard", 7), ("C3-phi-tanh", 2), ("C13-odd-function", 1),
+])
+def test_a_claim_divides_each_series_once_at_its_top_order(claim_id, divisions, monkeypatch):
+    hi = get_claim(claim_id).hi
+    orders = []
+    divide = series._divide
+
+    def counting(num, den):
+        orders.append(len(den) - 1)
+        return divide(num, den)
+
+    monkeypatch.setattr(series, "_divide", counting)
+    verify_claim(claim_id, hi)
+    assert orders == [hi] * divisions
+
+
 def test_claims_build_by_keyword_with_defaults():
     fields = dict(id="X", paper_ref="sec 0", statement="x", lo=0, hi=2,
-                  evaluate=lambda n: [(n, n)])
+                  evaluate=lambda ns: ((n, n, n) for n in ns))
     claim = Claim(**fields)
     assert claim.expected_first_failure is None and claim.notes == ""
     assert claim.expected_verdict(2) == "PASS"

@@ -356,9 +356,22 @@ def test_unknown_names_are_refused_with_the_choices_listed(argv, names, capsys):
     assert all(repr(name) in err for name in names)
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "tangent", "--count", "3", "--force"),
+    ("series", "tanh", "--order", "3", "--force"),
+])
+def test_force_is_refused_where_no_guard_reads_it(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(list(argv))
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --force" in err
+
+
 @pytest.mark.parametrize("fault", [KeyError("route"), ValueError("bad value")])
 def test_a_fault_inside_a_claim_is_not_a_usage_error(fault, monkeypatch):
-    def evaluate(n):
+    def evaluate(ns):
         raise fault
 
     claim = claims._REGISTRY["C5-parity"]._replace(evaluate=evaluate)
@@ -386,6 +399,7 @@ def test_verify_json_no_meta_is_byte_identical():
     (("seq", "eulerian", "--count", "12"), "seq_eulerian_count_12.txt"),
     (("seq", "bernoulli", "--count", "20"), "seq_bernoulli_count_20.txt"),
     (("seq", "eulerian", "--count", "12", "--format", "json"), "seq_eulerian_count_12.json"),
+    (("seq", "tangent", "--count", "12", "--format", "json"), "seq_tangent_count_12.json"),
 ])
 def test_verify_output_matches_the_golden_file(argv, golden):
     # The files pin each output byte for byte; rewrite one only when a

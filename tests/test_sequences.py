@@ -133,10 +133,12 @@ def test_genocchis_match_the_egf_series_to_64():
     assert values == [genocchi_value(n) for n in range(1, 65)]
 
 
-def test_genocchis_do_no_series_division():
-    series._QUOTIENTS.clear()
+def test_genocchis_do_no_series_division(monkeypatch):
+    def divide(num, den):
+        raise AssertionError("genocchis divided a series")
+
+    monkeypatch.setattr(series, "_divide", divide)
     genocchis(500)
-    assert "genocchi" not in series._QUOTIENTS
 
 
 def test_genocchi_values():
@@ -199,14 +201,15 @@ def test_sequence_tables_match_their_scalars(count):
         assert values == [scalar(i) for i in range(count)]
 
 
-@pytest.mark.parametrize("module", [sequences, claims], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [sequences, series, claims], ids=lambda m: m.__name__)
 def test_no_module_level_lists(module):
-    # Sequences are computed per request; the only memo is in series.
+    # Sequences and series are computed per request, so no module keeps a
+    # memo; the claim registry is a constant table.
     stores = [
         name for name, value in vars(module).items()
-        if isinstance(value, list) and not name.startswith("__")
+        if isinstance(value, (list, dict, set)) and not name.startswith("__")
     ]
-    assert stores == []
+    assert stores == (["_REGISTRY"] if module is claims else [])
 
 
 def test_sequence_prefixes_reject_a_negative_count():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from excedance import series
 from excedance.exact import factorial
 from excedance.permutations import Permutation
 from excedance.series import (
@@ -229,10 +228,9 @@ def test_floats_are_refused_everywhere():
         phi_series(0.5, 3)
 
 
-def test_series_store_is_bounded():
+def test_series_are_rebuilt_unchanged_after_other_points():
     points = [Fraction(p, 7) for p in range(8, 28)]
     first = phi_series(points[0], 6)
     for t in points:
         phi_series(t, 6)
-    assert len(series._QUOTIENTS) <= 8
-    assert phi_series(points[0], 6) == first  # evicted, rebuilt unchanged
+    assert phi_series(points[0], 6) == first
