@@ -24,7 +24,6 @@ its source, no two claims share an id, and each range has lo <= hi.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
@@ -178,6 +177,7 @@ def _render_text(report: Report) -> str:
 
 
 def _render_json(report: Report, *, include_meta: bool) -> str:
+    import json
     doc: dict = {"max_n": report.max_n}
     doc["results"] = [
         {

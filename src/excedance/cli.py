@@ -12,13 +12,12 @@ suppressed by --no-meta.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .claims import FAIL, get_claim, render_report, verify_all
 from .exact import (
     DESK_LIMIT,
     ENUMERATION_LIMIT,
@@ -32,35 +31,30 @@ from .exact import (
     parse_rational,
     require_within,
 )
-from .permutations import excedance_distribution
-from .sequences import alternating_sums, bernoullis, eulerian_rows, genocchis, tangents
-from .series import (
-    bernoulli_series,
-    egf_coeff,
-    genocchi_series,
-    phi_series,
-    render_series,
-    tanh_series,
-)
+
+
+def _module(name: str):
+    return importlib.import_module(f"{__package__}.{name}")
+
 
 # Each prefix gives the first count values, or rows of the Eulerian triangle.
-# The lambdas look each function up at call time, as SERIES does, because
-# bench/traced.py rebinds this module's globals to traced wrappers: a table
-# holding the functions themselves would keep calling the unwrapped ones.
+# An entry imports its module and reads its function there only when called,
+# so a command loads no module it does not run, and a wrapper that
+# bench/traced.py binds on the module in the function's place is the one called.
 SEQUENCES = {
-    "tangent": lambda count: tangents(count),
-    "bernoulli": lambda count: bernoullis(count),
-    "genocchi": lambda count: genocchis(count),
-    "eulerian": lambda count: eulerian_rows(count),
-    "altsum": lambda count: alternating_sums(count),
+    "tangent": lambda count: _module("sequences").tangents(count),
+    "bernoulli": lambda count: _module("sequences").bernoullis(count),
+    "genocchi": lambda count: _module("sequences").genocchis(count),
+    "eulerian": lambda count: _module("sequences").eulerian_rows(count),
+    "altsum": lambda count: _module("sequences").alternating_sums(count),
 }
 
 # Each constructor takes the order and phi's --t, which only phi reads.
 SERIES = {
-    "tanh": lambda order, t: tanh_series(order),
-    "phi": lambda order, t: phi_series(t, order),
-    "genocchi": lambda order, t: genocchi_series(order),
-    "bernoulli": lambda order, t: bernoulli_series(order),
+    "tanh": lambda order, t: _module("series").tanh_series(order),
+    "phi": lambda order, t: _module("series").phi_series(t, order),
+    "genocchi": lambda order, t: _module("series").genocchi_series(order),
+    "bernoulli": lambda order, t: _module("series").bernoulli_series(order),
 }
 
 
@@ -73,6 +67,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     else:
         key, items = "values", (format_exact(v) for v in values)
     if args.format == "json":
+        import json
         # Item by item, the bytes json.dumps(..., indent=2) would give for
         # the whole document, which would hold every item at once.
         print("{", f'  "name": "{name}",', f'  "count": {count},', f'  "{key}": [', sep="\n")
@@ -93,10 +88,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
     hint = "" if args.force else f" (--force raises the cap to {ENUMERATION_LIMIT})"
     require_within("n", n, 1, ENUMERATION_LIMIT if args.force else DESK_LIMIT, hint)
+    from .permutations import excedance_distribution
     tally = excedance_distribution(n)
     total = sum(tally)
     n_factorial = factorial(n)
     if args.format == "json":
+        import json
         doc = {
             "n": n,
             "rows": [{"k": k, "count": str(c)} for k, c in enumerate(tally)],
@@ -127,6 +124,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             )
     elif t is not None:
         raise GuardError(f"--t only applies to phi, not {name!r}")
+    from .series import egf_coeff, render_series
     series = SERIES[name](order, t)
     ordinary = [format_exact(c) for c in series.coeffs]
     egf = [format_exact(egf_coeff(series, k)) for k in range(order + 1)]
@@ -135,6 +133,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         label = f"{name}(order={order})"
     if args.format == "json":
+        import json
         doc: dict = {"name": name}
         if name == "phi":
             doc["t"] = format_exact(t)
@@ -148,6 +147,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .claims import FAIL, get_claim, render_report, verify_all
     if args.max_n > DESK_LIMIT and not args.force:
         raise GuardError(
             f"max_n={args.max_n} exceeds the default verification cap {DESK_LIMIT} "

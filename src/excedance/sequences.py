@@ -32,7 +32,6 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .exact import binomial
-from .series import egf_coeff, genocchi_series, tanh_series
 
 __all__ = [
     "eulerian_rows", "eulerian_numbers",
@@ -154,6 +153,8 @@ def tangent_bernoulli_value(m: int) -> Fraction:
 def tangent_series_value(m: int) -> Fraction:
     """Raw rational for the tangent number at odd index m, extracted from
     tanh: (-1)^((m-1)/2) * m! * [x^m] tanh x."""
+    # Only the two series routes import series, so seq never loads it.
+    from .series import egf_coeff, tanh_series
     _require_odd(m)
     sign = -1 if ((m - 1) // 2) % 2 else 1
     return sign * egf_coeff(tanh_series(m), m)
@@ -197,6 +198,7 @@ def genocchi_value(n: int) -> Fraction:
     """Raw rational n! * [x^n] of 2x/(e^x+1); integer in lowest terms."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
+    from .series import egf_coeff, genocchi_series
     return egf_coeff(genocchi_series(n), n)
 
 

@@ -409,20 +409,38 @@ def test_verify_output_matches_the_golden_file(argv, golden):
     assert result.stdout == (DATA / golden).read_text()
 
 
+def run_traced(trace: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["EXCEDANCE_BENCH_TRACE"] = str(trace)
+    return subprocess.run(
+        [sys.executable, str(Path(SRC).parent / "bench" / "traced.py"), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_bench_tracer_runs_verify_unchanged(tmp_path):
     # bench/traced.py wraps the package's public functions by name and reads
     # labelled arguments from their signatures; a signature it no longer
     # matches makes the traced command fail.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["EXCEDANCE_BENCH_TRACE"] = str(tmp_path / "trace.json")
-    result = subprocess.run(
-        [sys.executable, str(Path(SRC).parent / "bench" / "traced.py"),
-         "verify", "--max-n", "25", "--force", "--format", "json", "--no-meta"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = run_traced(tmp_path / "trace.json",
+                        "verify", "--max-n", "25", "--force", "--format", "json", "--no-meta")
     assert result.returncode == 0, result.stderr
     assert result.stdout == (DATA / "verify_max_n_25_force.json").read_text()
+
+
+@pytest.mark.parametrize("argv, span", [
+    (("seq", "tangent", "--count", "5"), "sequences.tangents"),
+    (("series", "tanh", "--order", "5", "--format", "json"), "series.tanh_series"),
+])
+def test_bench_tracer_sees_the_functions_a_command_imports_late(argv, span, tmp_path):
+    # cli imports each command's module only when the command runs, and then
+    # reads each function from it, so the traced wrapper must be the one called.
+    trace = tmp_path / "trace.json"
+    result = run_traced(trace, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(*argv).stdout
+    assert span in {record[0] for record in json.loads(trace.read_text())["spans"]}
 
 
 def test_verify_json_meta_present_by_default():

@@ -3,9 +3,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import excedance
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+SUBMODULES = ("exact", "series", "permutations", "sequences", "claims", "cli")
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    # A fresh interpreter, since pytest itself loads dataclasses, json and
+    # every module the other tests import.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 def test_package_exports_are_pinned():
@@ -25,25 +38,59 @@ def test_package_exports_are_pinned():
         assert hasattr(excedance, name)
 
 
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from excedance import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(excedance.__all__)
+    for name in excedance.__all__:
+        assert namespace[name] is getattr(excedance, name)
+
+
+def test_dir_lists_every_export_and_submodule():
+    assert set(excedance.__all__) | set(SUBMODULES) <= set(dir(excedance))
+
+
+def test_an_unknown_attribute_is_refused_by_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        excedance.no_such_name
+
+
+def test_each_submodule_resolves_on_first_use():
+    # Each submodule is read before anything has imported it, so the lazy
+    # lookup, not an earlier import, binds it; the package alone loads none.
+    code = ("import sys, excedance\n"
+            "assert not [m for m in sys.modules if m.startswith('excedance.')]\n"
+            f"for m in {SUBMODULES!r}:\n"
+            "    assert 'excedance.' + m not in sys.modules, m\n"
+            "    assert getattr(excedance, m) is sys.modules['excedance.' + m], m\n"
+            "print('ok')")
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
 def test_cli_import_leaves_slow_modules_unloaded():
-    # In a fresh interpreter, since pytest itself loads dataclasses.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, excedance.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'datetime'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=30)
+    slow = {"dataclasses", "inspect", "datetime", "json", "excedance.claims",
+            "excedance.permutations", "excedance.sequences", "excedance.series"}
+    result = run_fresh(f"import sys, excedance.cli; print(sorted({slow!r} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
 
-def test_text_verify_leaves_datetime_unloaded():
+@pytest.mark.parametrize("argv, runs, unloaded", [
+    (["seq", "tangent", "--count", "3"], "sequences",
+     {"excedance.claims", "excedance.series", "json"}),
+    (["dist", "5"], "permutations",
+     {"excedance.claims", "excedance.series", "excedance.sequences", "json"}),
+    (["series", "tanh", "--order", "3"], "series",
+     {"excedance.claims", "excedance.permutations", "json"}),
     # Only the JSON metadata reads the clock, so a text report never loads it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, excedance.cli; code = excedance.cli.main(['verify']); "
-            "print(code, 'datetime' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60)
+    (["verify"], "claims", {"datetime", "json"}),
+], ids=["seq", "dist", "series", "verify"])
+def test_each_command_loads_only_what_it_runs(argv, runs, unloaded):
+    code = (f"import sys, excedance.cli; code = excedance.cli.main({argv!r}); "
+            f"print(code, 'excedance.{runs}' in sys.modules, "
+            f"sorted({unloaded!r} & set(sys.modules)))")
+    result = run_fresh(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 True []"
