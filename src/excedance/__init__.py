@@ -33,11 +33,10 @@ _EXPORTS = {
                          "enumerate_permutations", "eulerian_poly_bruteforce",
                          "excedance_count", "excedance_distribution",
                          "is_alternating_up_down"),
-        "sequences": ("alternating_sum", "bernoulli", "eulerian_numbers", "genocchi",
-                      "tangent"),
+        "sequences": ("bernoulli",),
         "series": ("Series", "bernoulli_series", "egf_coeff", "exp_linear",
-                   "genocchi_series", "phi_series", "series_add", "series_mul",
-                   "series_reciprocal", "series_scale", "tanh_series"),
+                   "genocchi_series", "phi_polynomials", "phi_series", "series_add",
+                   "tanh_series"),
     }.items()
     for name in names
 }

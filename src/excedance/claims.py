@@ -1,15 +1,16 @@
 """Registry of asserted identities, each verified by independent routes.
 
 Every claim pairs a left and a right computation that share nothing beyond
-the exact-arithmetic primitives: series extraction against the
-excedance tally, closed forms against recurrences, and so on.  A claim is
-evaluated over its whole finite index range at once, so each series and
-prefix it reads is computed once, at the top of the range.  Any index
-where the two sides disagree becomes a counterexample, and the verdict is
-FAIL exactly when at least one counterexample exists.  A ClaimResult
-holds its Claim, the top index checked and the counterexamples, and
-derives its verdict from them; only the JSON report's metadata adds a
-timestamp and the package version.
+the exact-arithmetic primitives: the integer polynomials of phi against the
+excedance tally, closed forms against recurrences, and so on.  phi comes
+from its polynomials and tanh from a series division, so C3 compares two
+independent routes.  A claim is evaluated over its whole finite index
+range at once, so each series and prefix it reads is computed once, at
+the top of the range.  Any index where the two sides disagree becomes a
+counterexample, and the verdict is FAIL exactly when at least one
+counterexample exists.  A ClaimResult holds its Claim, the top index
+checked and the counterexamples, and derives its verdict from them; only
+the JSON report's metadata adds a timestamp and the package version.
 
 Claims are registered verbatim as asserted in their source text, including
 the ones that are false; the point of the harness is to find that out
@@ -25,10 +26,16 @@ its source, no two claims share an id, and each range has lo <= hi.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
-from .permutations import alternating_sum_bruteforce, count_alternating, eulerian_poly_bruteforce
+from .permutations import (
+    alternating_sum_bruteforce,
+    count_alternating,
+    eulerian_poly_bruteforce,
+    excedance_distribution,
+)
 from .sequences import (
     alternating_sums,
     genocchis,
@@ -36,7 +43,7 @@ from .sequences import (
     tangent_series_value,
     tangents,
 )
-from .series import egf_coeff, genocchi_series, phi_series, tanh_series
+from .series import egf_coeff, genocchi_series, phi_polynomials, phi_series, tanh_series
 
 __all__ = [
     "Claim",
@@ -56,12 +63,9 @@ FAIL = "FAIL"
 # (n, lhs, rhs) triples of exact values produced by a claim evaluator.
 Triples = Iterator[tuple[int, ExactValue, ExactValue]]
 
-# Evaluation points for the generating-function claims; kept small and
-# mixed-sign/mixed-size so a convention slip cannot cancel out.
+# Evaluation points for C2; kept small and mixed-sign/mixed-size so a
+# convention slip cannot cancel out.
 _T_POINTS = (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))
-# Both sides of eq (1) at length n are polynomials in t of degree at most
-# n - 1, so agreement at 7 distinct t != 1 proves C1 on its whole range 0..7.
-_C1_POINTS = _T_POINTS + (Fraction(0), Fraction(3), Fraction(-1, 2))
 
 
 class Claim(NamedTuple):
@@ -211,10 +215,15 @@ def _render_json(report: Report, *, include_meta: bool) -> str:
 
 
 def _eval_egf_standard(ns: range) -> Triples:
-    phis = [phi_series(t, ns.stop - 1) for t in _C1_POINTS]
+    # Both sides of eq (1) as integer polynomials in s = t - 1, one triple
+    # per coefficient: the expansion of phi against the tally row, whose
+    # t^i = (s+1)^i contributes C(i,j) to s^j.
+    polys = phi_polynomials(ns.stop - 1)
     for n in ns:
-        for t, phi in zip(_C1_POINTS, phis):
-            yield n, egf_coeff(phi, n), eulerian_poly_bruteforce(n, t)
+        tally = excedance_distribution(n)
+        row = [sum(binomial(i, j) * c for i, c in enumerate(tally)) for j in range(len(tally))]
+        for lhs, rhs in zip_longest(polys[n], row, fillvalue=0):
+            yield n, lhs, rhs
 
 
 def _eval_egf_shifted(ns: range) -> Triples:

@@ -6,10 +6,10 @@ Statistics are computed straight from their definitions, and
 exhaustive oracle the tests check the counting routes against; it is the
 one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
 table of :mod:`excedance.exact`, because its work is n!.  The excedance
-tallies come from an open-arc dynamic program over Laguerre histories in
-O(n^3) integer steps, with no cache and no enumeration; the distribution,
-the alternating sum and the excedance polynomial (weight t^exc, as in eq
-(1), and no other) all read it.  Up-down permutations are counted by the
+distribution comes from an open-arc dynamic program over Laguerre
+histories in O(n^3) integer steps, with no cache and no enumeration; the
+alternating sum and the excedance polynomial (weight t^exc, as in eq (1),
+and no other) both read it.  Up-down permutations are counted by the
 Seidel-Entringer rank recurrence in O(n^2) additions, and the tests check
 the count against filtered enumeration up to length 9.  Positions and
 values are 1-based throughout: a permutation is its one-line notation
@@ -124,9 +124,15 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     return (Permutation(raw) for raw in itertools.permutations(range(1, n + 1)))
 
 
-def _excedance_tally(n: int) -> tuple[int, ...]:
-    # Entry k counts the permutations of length n with k excedances, for
-    # k = 0..n; entry n is 0 except for the empty permutation (n = 0).
+def excedance_distribution(n: int) -> list[int]:
+    """Tally of permutations of length n by excedance count, k = 0..n-1;
+    the one permutation of length 0 has 0 excedances.
+
+    >>> excedance_distribution(3)
+    [1, 4, 1]
+    >>> excedance_distribution(0)
+    [1]
+    """
     # Open-arc dynamic programming over Laguerre histories (Flajolet 1980):
     # step i places position i and value i.  An open arc is a position
     # still waiting for a larger value, paired in number with a value still
@@ -150,18 +156,8 @@ def _excedance_tally(n: int) -> tuple[int, ...]:
                     # Close both.
                     grown[j - 1][k] += j * j * ways
         arcs = grown[: n - i + 1]
-    return tuple(arcs[0])
-
-
-def excedance_distribution(n: int) -> list[int]:
-    """Tally of permutations of length n by excedance count, k = 0..n-1.
-
-    >>> excedance_distribution(3)
-    [1, 4, 1]
-    >>> excedance_distribution(0)
-    []
-    """
-    return list(_excedance_tally(n)[:n])
+    # No permutation of length n >= 1 has n excedances.
+    return arcs[0][: n or 1]
 
 
 def alternating_sum_bruteforce(n: int) -> int:
@@ -175,7 +171,7 @@ def alternating_sum_bruteforce(n: int) -> int:
     >>> alternating_sum_bruteforce(3)
     -2
     """
-    return sum(-c if k % 2 else c for k, c in enumerate(_excedance_tally(n)))
+    return sum(-c if k % 2 else c for k, c in enumerate(excedance_distribution(n)))
 
 
 def count_alternating(n: int) -> int:
@@ -216,4 +212,4 @@ def eulerian_poly_bruteforce(n: int, t: Fraction | int) -> Fraction:
     Fraction(1, 1)
     """
     t = as_rational(t)
-    return sum((count * t**k for k, count in enumerate(_excedance_tally(n))), Fraction(0))
+    return sum((count * t**k for k, count in enumerate(excedance_distribution(n))), Fraction(0))

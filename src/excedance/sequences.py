@@ -18,8 +18,9 @@ claims module can cross-validate them:
   checked against the open-arc tally.
 
 Each sequence has one public prefix function that computes its first
-``count`` values from scratch (:func:`eulerian_rows` yields rows), and a
-scalar reads its index from the matching prefix.  Nothing is kept between
+``count`` values from scratch (:func:`eulerian_rows` yields rows); the
+one scalar, :func:`bernoulli`, reads its index from :func:`bernoullis`
+for the Bernoulli route to the tangent numbers.  Nothing is kept between
 calls.  Everything is exact: the rational routes return their raw
 fractions, whose denominators the claims check, and the one integer
 division, in :func:`genocchis`, raises on a non-zero remainder, so a
@@ -34,11 +35,11 @@ from fractions import Fraction
 from .exact import binomial
 
 __all__ = [
-    "eulerian_rows", "eulerian_numbers",
+    "eulerian_rows",
     "bernoullis", "bernoulli",
-    "tangents", "tangent", "tangent_bernoulli_value", "tangent_series_value",
-    "genocchis", "genocchi", "genocchi_value",
-    "alternating_sums", "alternating_sum",
+    "tangents", "tangent_bernoulli_value", "tangent_series_value",
+    "genocchis",
+    "alternating_sums",
 ]
 
 
@@ -67,29 +68,6 @@ def _eulerian_rows(count: int) -> Iterator[list[int]]:
         row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
         padded = [0, *row, 0]
         yield row
-
-
-def eulerian_numbers(n: int) -> list[int]:
-    """Row n of the Eulerian triangle: entry k counts permutations of
-    length n with exactly k excedances.
-
-    The last of :func:`eulerian_rows`.
-
-    >>> eulerian_numbers(1)
-    [1]
-    >>> eulerian_numbers(3)
-    [1, 4, 1]
-    >>> eulerian_numbers(4)
-    [1, 11, 11, 1]
-    >>> eulerian_numbers(0)
-    []
-    """
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
-    row: list[int] = []
-    for row in eulerian_rows(n):
-        pass
-    return row
 
 
 def bernoullis(count: int) -> list[Fraction]:
@@ -141,9 +119,8 @@ def tangent_bernoulli_value(m: int) -> Fraction:
     """Raw rational for the tangent number at odd index m = 2n-1:
     (-1)^(n-1) * 2^(2n) (2^(2n) - 1) / (2n) * B_(2n).
 
-    The division is exact rational arithmetic; integrality is asserted by
-    :func:`tangent`, not here, so the claims module can inspect the
-    denominator directly.
+    The division is exact rational arithmetic; integrality is not asserted
+    here, so the claims module can inspect the denominator directly.
     """
     n = _require_odd(m)
     sign = -1 if n % 2 == 0 else 1
@@ -153,7 +130,7 @@ def tangent_bernoulli_value(m: int) -> Fraction:
 def tangent_series_value(m: int) -> Fraction:
     """Raw rational for the tangent number at odd index m, extracted from
     tanh: (-1)^((m-1)/2) * m! * [x^m] tanh x."""
-    # Only the two series routes import series, so seq never loads it.
+    # Only this series route imports series, so seq never loads it.
     from .series import egf_coeff, tanh_series
     _require_odd(m)
     sign = -1 if ((m - 1) // 2) % 2 else 1
@@ -179,29 +156,6 @@ def tangents(count: int) -> list[int]:
     return t
 
 
-def tangent(m: int) -> int:
-    """Tangent number at odd index m, the last of :func:`tangents`.
-
-    :func:`tangent_bernoulli_value`, :func:`tangent_series_value` and
-    :func:`excedance.permutations.count_alternating` reach the same
-    positive integer by three other routes.
-
-    >>> tangent(1)
-    1
-    >>> tangent(5)
-    16
-    """
-    return tangents(_require_odd(m))[-1]
-
-
-def genocchi_value(n: int) -> Fraction:
-    """Raw rational n! * [x^n] of 2x/(e^x+1); integer in lowest terms."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    from .series import egf_coeff, genocchi_series
-    return egf_coeff(genocchi_series(n), n)
-
-
 def genocchis(count: int) -> list[int]:
     """G_1 .. G_count, read from the tangent prefix: G_1 = 1, G_n = 0 at
     odd n >= 3, and G_2k = (-1)^k k T_(2k-1) / 4^(k-1).
@@ -219,21 +173,6 @@ def genocchis(count: int) -> list[int]:
     return values
 
 
-def genocchi(n: int) -> int:
-    """Genocchi number at index n >= 1, the last of :func:`genocchis`.
-
-    >>> genocchi(1)
-    1
-    >>> genocchi(3)
-    0
-    >>> genocchi(6)
-    -3
-    """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    return genocchis(n)[-1]
-
-
 def alternating_sums(count: int) -> list[int]:
     """S(0) .. S(count-1), the alternating excedance sums in closed form.
 
@@ -247,21 +186,3 @@ def alternating_sums(count: int) -> list[int]:
     for i, t in enumerate(tangents(count // 2)):
         values[2 * i + 1] = -t if i % 2 else t
     return values
-
-
-def alternating_sum(n: int) -> int:
-    """Closed form for the alternating excedance sum over length n:
-    1 at n = 0, 0 at even n >= 2, and (-1)^((n-1)/2) times the tangent
-    number at odd n.
-
-    >>> alternating_sum(0)
-    1
-    >>> alternating_sum(4)
-    0
-    >>> alternating_sum(3)
-    -2
-    """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    return alternating_sums(n + 1)[n]
-

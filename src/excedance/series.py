@@ -9,26 +9,26 @@ therefore always visible in the result's order.
 
 The named constructors build the generating functions this package works
 with: e^(a*x), the Eulerian-polynomial generator (t-1)/(t - e^(x(t-1))),
-tanh x, 2x/(e^x+1) and x/(e^x-1).  The last four are quotients, each
-divided afresh on every call; nothing is kept between calls.  Their
-coefficient at order k does not depend on the truncation, so a caller that
-needs several coefficients reads them from one series at the top order.
+tanh x, 2x/(e^x+1) and x/(e^x-1).  The last three are quotients, each
+divided afresh on every call; the Eulerian generator is no division but
+the evaluation at t of the integer polynomials :func:`phi_polynomials`.
+Nothing is kept between calls.  A coefficient at order k does not depend
+on the truncation, so a caller that needs several coefficients reads them
+from one series at the top order.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_rational, factorial, format_exact
+from .exact import as_rational, binomial, factorial, format_exact
 
 __all__ = [
     "Series",
     "constant_series",
     "series_add",
     "series_sub",
-    "series_scale",
-    "series_mul",
-    "series_reciprocal",
     "exp_linear",
+    "phi_polynomials",
     "phi_series",
     "tanh_series",
     "genocchi_series",
@@ -85,21 +85,6 @@ def series_sub(a: Series, b: Series) -> Series:
     return Series(tuple(a.coeffs[k] - b.coeffs[k] for k in range(n + 1)))
 
 
-def series_scale(c: Fraction | int, a: Series) -> Series:
-    c = as_rational(c)
-    return Series(tuple(c * x for x in a.coeffs))
-
-
-def series_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller order."""
-    n = min(a.order, b.order)
-    out = tuple(
-        sum((a.coeffs[j] * b.coeffs[k - j] for j in range(k + 1)), Fraction(0))
-        for k in range(n + 1)
-    )
-    return Series(out)
-
-
 def _divide(num: tuple, den: tuple[Fraction, ...]) -> Series:
     # The quotient num/den truncated at the order of den, solved one
     # coefficient at a time; num reads as zero past its end, and den[0]
@@ -109,20 +94,6 @@ def _divide(num: tuple, den: tuple[Fraction, ...]) -> Series:
         acc = sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
         out.append(((num[k] if k < len(num) else 0) - acc) / den[0])
     return Series(out)
-
-
-def series_reciprocal(a: Series) -> Series:
-    """Multiplicative inverse up to the truncation order.
-
-    Solves a*b = 1 coefficient by coefficient: b[0] = 1/a[0] and
-    b[k] = -(1/a[0]) * sum_{j=1..k} a[j] b[k-j].  Requires a nonzero
-    constant term; a series starting at x or later is not invertible.
-    """
-    if a.coeffs[0] == 0:
-        raise ValueError(
-            "series with zero constant term is not invertible as a power series"
-        )
-    return _divide((1,), a.coeffs)
 
 
 def exp_linear(a: Fraction | int, order: int) -> Series:
@@ -141,13 +112,41 @@ def exp_linear(a: Fraction | int, order: int) -> Series:
     return Series(tuple(a**k / factorial(k) for k in range(order + 1)))
 
 
+def phi_polynomials(order: int) -> list[list[int]]:
+    """a_0 .. a_order, where a_n(t - 1) = n! * [x^n] (t-1) / (t - e^(x(t-1))).
+
+    Each a_n is an integer coefficient list in s = t - 1, lowest power
+    first.  With F = sum_{k>=1} s^(k-1) x^k / k!, the generator is 1/(1-F),
+    so a_0 = 1 and a_n = sum_{k=1..n} C(n,k) s^(k-1) a_(n-k).  Coefficient
+    j of a_n is (n-j)! S(n, n-j), Frobenius's form of the Eulerian
+    polynomial.
+
+    >>> phi_polynomials(3)
+    [[1], [1], [2, 1], [6, 6, 1]]
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    polys = [[1]]
+    for n in range(1, order + 1):
+        a = [0] * n
+        for k in range(1, n + 1):
+            c = binomial(n, k)
+            # Multiplying by s^(k-1) shifts the coefficients k-1 places up.
+            for j, coeff in enumerate(polys[n - k], k - 1):
+                a[j] += c * coeff
+        polys.append(a)
+    return polys
+
+
 def phi_series(t: Fraction | int, order: int) -> Series:
     """Truncation of (t-1) / (t - e^(x(t-1))) for t != 1.
 
     The denominator has constant term t-1, so the quotient exists exactly
     when t != 1.  The exponential view n! * c[n] is the evaluation at t of
     the generating polynomial of the excedance statistic over all
-    permutations of length n (sum of t^exc over the symmetric group).
+    permutations of length n (sum of t^exc over the symmetric group), read
+    from :func:`phi_polynomials` at s = t - 1 = p/q with one integer sum
+    per coefficient.
     """
     t = as_rational(t)
     if t == 1:
@@ -155,8 +154,16 @@ def phi_series(t: Fraction | int, order: int) -> Series:
             "t=1 degenerates the formula (denominator has zero constant term); "
             "the value there is n! per index"
         )
-    den = series_sub(constant_series(t, order), exp_linear(t - 1, order))
-    return _divide((t - 1,), den.coeffs)
+    s = t - 1
+    p_powers = [s.numerator**j for j in range(order + 1)]
+    q_powers = [s.denominator**j for j in range(order + 1)]
+    coeffs = []
+    for n, a in enumerate(phi_polynomials(order)):
+        # a(p/q) = sum_j a[j] p^j q^(d-j) / q^d, with d the degree of a.
+        d = len(a) - 1
+        value = sum(c * p_powers[j] * q_powers[d - j] for j, c in enumerate(a))
+        coeffs.append(Fraction(value, q_powers[d] * factorial(n)))
+    return Series(coeffs)
 
 
 def tanh_series(order: int) -> Series:

@@ -20,14 +20,20 @@ from excedance.permutations import (
     excedance_distribution,
 )
 from excedance.sequences import (
-    alternating_sum,
-    eulerian_numbers,
-    genocchi_value,
-    tangent,
+    alternating_sums,
+    eulerian_rows,
     tangent_bernoulli_value,
     tangent_series_value,
+    tangents,
 )
-from excedance.series import constant_series, phi_series, series_add, tanh_series
+from excedance.series import (
+    constant_series,
+    egf_coeff,
+    genocchi_series,
+    phi_series,
+    series_add,
+    tanh_series,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -52,8 +58,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def test_criterion_1_eulerian_recurrence_equals_enumeration():
     started = time.monotonic()
-    for n in range(1, 9):
-        row = eulerian_numbers(n)
+    for n, row in enumerate(eulerian_rows(8), 1):
         assert row == excedance_distribution(n), f"rows differ at n={n}"
         assert sum(row) == factorial(n), f"row sum wrong at n={n}"
     elapsed = time.monotonic() - started
@@ -62,17 +67,17 @@ def test_criterion_1_eulerian_recurrence_equals_enumeration():
 
 
 def test_criterion_2_alternating_sum_closed_form_equals_bruteforce():
+    sums = alternating_sums(9)
     for n in range(0, 9):
-        assert alternating_sum(n) == alternating_sum_bruteforce(n), f"n={n}"
-    assert alternating_sum(3) == -2
-    assert alternating_sum(5) == 16
-    assert alternating_sum(7) == -272
+        assert sums[n] == alternating_sum_bruteforce(n), f"n={n}"
+    assert sums[3] == -2
+    assert sums[5] == 16
+    assert sums[7] == -272
     _report(2, "closed-form alternating sums match enumeration for n=0..8")
 
 
 def test_criterion_3_tangent_triple_route_agreement():
-    for m in range(1, 26, 2):
-        i = tangent(m)
+    for m, i in zip(range(1, 26, 2), tangents(13)):
         b = tangent_bernoulli_value(m)
         s = tangent_series_value(m)
         c = count_alternating(m)
@@ -94,8 +99,9 @@ def test_criterion_5_integrality_of_rational_intermediates():
     for m in range(1, 26, 2):
         assert tangent_bernoulli_value(m).denominator == 1, f"T({m}) bernoulli route"
         assert tangent_series_value(m).denominator == 1, f"T({m}) series route"
+    g = genocchi_series(16)
     for n in range(1, 17):
-        assert genocchi_value(n).denominator == 1, f"G({n})"
+        assert egf_coeff(g, n).denominator == 1, f"G({n})"
     _report(5, "all T and G rational intermediates reduce to denominator 1")
 
 

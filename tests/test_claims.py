@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,9 @@ from excedance.claims import (
     verify_all,
     verify_claim,
 )
+from excedance.exact import binomial
+from excedance.permutations import enumerate_permutations, excedance_count
+from excedance.series import phi_polynomials
 
 # The full expected-verdict table at the default bound.  A regression in
 # any computation route flips one of these and fails the suite.
@@ -63,18 +67,45 @@ def test_registry_table_is_well_formed():
         assert claim.lo <= claim.hi, claim.id
 
 
-def test_c1_points_prove_eq_1_on_its_whole_range():
-    # Both sides at length n are polynomials in t of degree at most n - 1,
-    # so hi distinct points other than t = 1 pin them down for every n <= hi.
-    points = claims._C1_POINTS
-    assert all(isinstance(t, Fraction) for t in points)
-    assert len(set(points)) == len(points) >= get_claim("C1-egf-standard").hi
-    assert Fraction(1) not in points
-    assert set(claims._T_POINTS) <= set(points)
+def test_phi_polynomials_are_frobenius_and_the_enumerated_tally():
+    # Coefficient j of a_n, in powers of s = t - 1, is (n-j)! S(n, n-j),
+    # which counts the surjections of n onto n - j; read in powers of t it
+    # is the tally of the enumeration oracle.
+    def surjections(n, k):
+        return sum((-1) ** i * binomial(k, i) * (k - i) ** n for i in range(k + 1))
+
+    for n, a in enumerate(phi_polynomials(8)):
+        size = max(n, 1)
+        assert a == [surjections(n, n - j) for j in range(size)]
+        counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
+        in_t = [sum((-1) ** (j - i) * binomial(j, i) * c for j, c in enumerate(a))
+                for i in range(size)]
+        assert in_t == [counts[i] for i in range(size)]
+
+
+def test_c1_compares_integer_coefficients():
+    # One triple per coefficient of a_n, so n contributes max(n, 1) triples,
+    # each a pair of ints.
+    triples = list(get_claim("C1-egf-standard").evaluate(range(8)))
+    assert [n for n, _, _ in triples] == [n for n in range(8) for _ in range(max(n, 1))]
+    assert all(type(lhs) is int and type(rhs) is int for _, lhs, rhs in triples)
+
+
+def test_c1_fails_on_a_wrong_tally(monkeypatch):
+    # One permutation too many without excedances at length 5 fails there only.
+    tally = claims.excedance_distribution
+
+    def miscounted(n):
+        row = tally(n)
+        return [row[0] + 1, *row[1:]] if n == 5 else row
+
+    monkeypatch.setattr(claims, "excedance_distribution", miscounted)
+    result = verify_claim("C1-egf-standard")
+    assert result.verdict == "FAIL" and {c.n for c in result.counterexamples} == {5}
 
 
 @pytest.mark.parametrize("claim_id, divisions", [
-    ("C1-egf-standard", 7), ("C3-phi-tanh", 2), ("C13-odd-function", 1),
+    ("C1-egf-standard", 0), ("C3-phi-tanh", 1), ("C13-odd-function", 1),
 ])
 def test_a_claim_divides_each_series_once_at_its_top_order(claim_id, divisions, monkeypatch):
     hi = get_claim(claim_id).hi

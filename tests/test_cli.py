@@ -15,7 +15,7 @@ from excedance.exact import (
     T_DIGITS_LIMIT,
     factorial,
 )
-from excedance.sequences import eulerian_numbers
+from excedance.sequences import eulerian_rows
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -122,7 +122,7 @@ def test_dist_at_the_forced_limit_is_the_eulerian_row():
     result = run_cli("dist", str(ENUMERATION_LIMIT), "--force", "--format", "json", timeout=15)
     assert result.returncode == 0
     doc = json.loads(result.stdout)
-    assert [int(row["count"]) for row in doc["rows"]] == eulerian_numbers(ENUMERATION_LIMIT)
+    assert [int(row["count"]) for row in doc["rows"]] == list(eulerian_rows(ENUMERATION_LIMIT))[-1]
     assert doc["sum"] == doc["factorial"] == str(factorial(ENUMERATION_LIMIT))
 
 
@@ -400,6 +400,8 @@ def test_verify_json_no_meta_is_byte_identical():
     (("seq", "bernoulli", "--count", "20"), "seq_bernoulli_count_20.txt"),
     (("seq", "eulerian", "--count", "12", "--format", "json"), "seq_eulerian_count_12.json"),
     (("seq", "tangent", "--count", "12", "--format", "json"), "seq_tangent_count_12.json"),
+    (("series", "phi", "--order", "64", "--t=-7/5", "--format", "json"),
+     "series_phi_order_64_t_-7_5.json"),
 ])
 def test_verify_output_matches_the_golden_file(argv, golden):
     # The files pin each output byte for byte; rewrite one only when a

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from excedance import claims, permutations, sequences, series
+from excedance import claims, sequences, series
 from excedance.permutations import (
     alternating_sum_bruteforce,
     count_alternating,
@@ -10,51 +10,46 @@ from excedance.permutations import (
     excedance_distribution,
 )
 from excedance.sequences import (
-    alternating_sum,
     alternating_sums,
     bernoulli,
     bernoullis,
-    eulerian_numbers,
     eulerian_rows,
-    genocchi,
-    genocchi_value,
     genocchis,
-    tangent,
     tangent_bernoulli_value,
     tangent_series_value,
     tangents,
 )
-from excedance.series import bernoulli_series, egf_coeff
+from excedance.series import bernoulli_series, egf_coeff, genocchi_series
 
 TANGENT_KNOWN = {1: 1, 3: 2, 5: 16, 7: 272, 9: 7936, 11: 353792}
 
 GENOCCHI_KNOWN = [1, -1, 0, 1, 0, -3, 0, 17, 0, -155, 0, 2073]
 
+# Rows 1..12 of the Eulerian triangle, from one prefix.
+ROWS = list(eulerian_rows(12))
+
 
 def test_eulerian_rows_small():
-    assert eulerian_numbers(0) == []
-    assert eulerian_numbers(1) == [1]
-    assert eulerian_numbers(3) == [1, 4, 1]
-    assert eulerian_numbers(4) == [1, 11, 11, 1]
+    assert list(eulerian_rows(0)) == []
+    assert ROWS[:4] == [[1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
 
 
 def test_eulerian_rows_numbers_and_tally_agree_to_12():
-    rows = list(eulerian_rows(12))
-    assert len(rows) == 12
+    assert len(ROWS) == 12
     for n in range(1, 13):
-        assert rows[n - 1] == eulerian_numbers(n) == list(permutations._excedance_tally(n)[:n])
+        assert ROWS[n - 1] == list(eulerian_rows(n))[-1] == excedance_distribution(n)
 
 
 def test_eulerian_rows_match_bruteforce_to_8():
     for n in range(1, 9):
-        assert eulerian_numbers(n) == excedance_distribution(n)
+        assert ROWS[n - 1] == excedance_distribution(n)
 
 
 def test_eulerian_row_sums_are_factorials():
     total = 1
     for n in range(1, 11):
         total *= n
-        assert sum(eulerian_numbers(n)) == total
+        assert sum(ROWS[n - 1]) == total
 
 
 def test_eulerian_poly_at_values():
@@ -62,9 +57,9 @@ def test_eulerian_poly_at_values():
     assert eulerian_poly_bruteforce(5, -1) == 16
     assert eulerian_poly_bruteforce(0, 7) == 1
     # 1 - 26 + 66 - 26 + 1 from the fifth row
-    assert sum((-1) ** k * c for k, c in enumerate(eulerian_numbers(5))) == 16
+    assert sum((-1) ** k * c for k, c in enumerate(ROWS[4])) == 16
     for t in (1, -1, 2, Fraction(1, 3)):
-        row_value = sum(c * t**k for k, c in enumerate(eulerian_numbers(5)))
+        row_value = sum(c * t**k for k, c in enumerate(ROWS[4]))
         assert eulerian_poly_bruteforce(5, t) == row_value
 
 
@@ -88,8 +83,9 @@ def test_bernoulli_odd_indices_vanish():
 
 
 def test_tangent_three_routes_agree_to_11():
+    integers = tangents(6)
     for m in range(1, 12, 2):
-        i = tangent(m)
+        i = integers[m // 2]
         b = tangent_bernoulli_value(m)
         s = tangent_series_value(m)
         c = count_alternating(m)
@@ -97,13 +93,12 @@ def test_tangent_three_routes_agree_to_11():
 
 
 def test_tangent_two_routes_agree_to_25():
-    for m in range(1, 26, 2):
-        assert tangent(m) == tangent_bernoulli_value(m) == tangent_series_value(m)
+    for m, value in zip(range(1, 26, 2), tangents(13)):
+        assert value == tangent_bernoulli_value(m) == tangent_series_value(m)
 
 
 def test_tangent_values_positive():
-    for m in range(1, 26, 2):
-        assert tangent(m) > 0
+    assert all(value > 0 for value in tangents(13))
 
 
 def test_tangent_rational_intermediates_are_integral():
@@ -113,11 +108,11 @@ def test_tangent_rational_intermediates_are_integral():
 
 
 def test_tangent_rejects_even_index():
-    with pytest.raises(ValueError):
-        tangent(4)
-    with pytest.raises(ValueError):
-        tangent(0)
-    assert count_alternating(13) == tangent(13) == 22368256
+    for route in (tangent_bernoulli_value, tangent_series_value):
+        for m in (4, 0):
+            with pytest.raises(ValueError, match="odd indices"):
+                route(m)
+    assert count_alternating(13) == tangents(7)[-1] == 22368256
 
 
 def test_genocchis_match_bernoulli_to_500():
@@ -128,9 +123,8 @@ def test_genocchis_match_bernoulli_to_500():
 
 
 def test_genocchis_match_the_egf_series_to_64():
-    values = genocchis(64)
-    assert values == [genocchi(n) for n in range(1, 65)]
-    assert values == [genocchi_value(n) for n in range(1, 65)]
+    g = genocchi_series(64)
+    assert genocchis(64) == [egf_coeff(g, n) for n in range(1, 65)]
 
 
 def test_genocchis_do_no_series_division(monkeypatch):
@@ -142,63 +136,58 @@ def test_genocchis_do_no_series_division(monkeypatch):
 
 
 def test_genocchi_values():
-    assert [genocchi(n) for n in range(1, 13)] == GENOCCHI_KNOWN
-    assert genocchi(6) == -3
+    assert genocchis(12) == GENOCCHI_KNOWN
+    assert genocchis(6)[-1] == -3
 
 
 def test_genocchi_odd_indices_vanish():
+    values = genocchis(16)
     for n in range(3, 17, 2):
-        assert genocchi(n) == 0
+        assert values[n - 1] == 0
 
 
 def test_genocchi_integrality_to_16():
+    g = genocchi_series(16)
     for n in range(1, 17):
-        assert genocchi_value(n).denominator == 1
+        assert egf_coeff(g, n).denominator == 1
 
 
 def test_alternating_sum_closed_form():
-    assert alternating_sum(0) == 1
-    assert alternating_sum(4) == 0
-    assert alternating_sum(3) == -2
-    assert [alternating_sum(n) for n in range(9)] == [1, 1, 0, -2, 0, 16, 0, -272, 0]
+    assert alternating_sums(9) == [1, 1, 0, -2, 0, 16, 0, -272, 0]
 
 
 def test_alternating_sum_matches_bruteforce_to_8():
-    for n in range(9):
-        assert alternating_sum(n) == alternating_sum_bruteforce(n)
+    for n, value in enumerate(alternating_sums(9)):
+        assert value == alternating_sum_bruteforce(n)
 
 
 def test_alternating_sum_signs_track_tangent():
-    for n in range(1, 14, 2):
-        expected = (-1) ** ((n - 1) // 2) * tangent(n)
-        assert alternating_sum(n) == expected
+    sums = alternating_sums(14)
+    for n, t in zip(range(1, 14, 2), tangents(7)):
+        assert sums[n] == (-1) ** ((n - 1) // 2) * t
 
 
 def test_sequence_prefix_values_and_indices():
     # altsum and bernoulli start at index 0, genocchi at 1, and tangent runs
     # over the odd indices 1, 3, ..., 2*count-1.
     assert alternating_sums(5) == [1, 1, 0, -2, 0]
-    assert alternating_sums(5) == [alternating_sum(n) for n in range(5)]
     assert tangents(4) == [1, 2, 16, 272]
-    assert tangents(4) == [tangent(m) for m in (1, 3, 5, 7)]
     assert genocchis(3) == [1, -1, 0]
-    assert genocchis(3) == [genocchi(n) for n in (1, 2, 3)]
     assert bernoullis(3) == [1, Fraction(-1, 2), Fraction(1, 6)]
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 37])
 def test_sequence_tables_match_their_scalars(count):
-    # Each prefix computes its values at once, each scalar reads one index.
-    prefixes = {
-        tangents: lambda i: tangent(2 * i + 1),
-        bernoullis: bernoulli,
-        genocchis: lambda i: genocchi(i + 1),
-        alternating_sums: alternating_sum,
-    }
-    for prefix, scalar in prefixes.items():
+    # Each prefix computes its values at once; the one scalar left,
+    # bernoulli, reads one index of its prefix, and every shorter prefix
+    # is a prefix of a longer one.
+    values = bernoullis(count)
+    assert len(values) == count
+    assert values == [bernoulli(i) for i in range(count)]
+    for prefix in (tangents, genocchis, alternating_sums):
         values = prefix(count)
         assert len(values) == count
-        assert values == [scalar(i) for i in range(count)]
+        assert prefix(count + 3)[:count] == values
 
 
 @pytest.mark.parametrize("module", [sequences, series, claims], ids=lambda m: m.__name__)
