@@ -4,11 +4,11 @@ sequences attached to them, with a mechanical identity-verification harness.
 Everything is computed over arbitrary-precision integers and normalized
 rationals; there is no floating point anywhere.  The subpackages:
 
-* :mod:`excedance.exact` -- integers, rationals, factorial/binomial.
+* :mod:`excedance.exact` -- integers, rationals, binomial, work limits.
 * :mod:`excedance.series` -- truncated power series and the named
   generating functions (Eulerian, tanh, Genocchi, Bernoulli).
-* :mod:`excedance.permutations` -- statistics, the excedance tally and the
-  exhaustive enumeration oracle.
+* :mod:`excedance.permutations` -- statistics, the excedance tally (the
+  Eulerian rows) and the exhaustive enumeration oracle.
 * :mod:`excedance.sequences` -- multi-route sequence generators.
 * :mod:`excedance.claims` -- the claim registry and PASS/FAIL verification.
 * :mod:`excedance.cli` -- the ``excedance`` command.
@@ -28,9 +28,8 @@ _EXPORTS = {
     for module, names in {
         "claims": ("Claim", "ClaimResult", "Counterexample", "Report", "claim_ids",
                    "render_report", "verify_all", "verify_claim"),
-        "exact": ("GuardError", "binomial", "factorial", "format_exact", "parse_rational"),
-        "permutations": ("Permutation", "alternating_sum_bruteforce", "count_alternating",
-                         "enumerate_permutations", "eulerian_poly_bruteforce",
+        "exact": ("GuardError", "binomial", "format_exact"),
+        "permutations": ("Permutation", "count_alternating", "enumerate_permutations",
                          "excedance_count", "excedance_distribution",
                          "is_alternating_up_down"),
         "sequences": ("bernoulli",),

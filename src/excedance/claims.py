@@ -1,12 +1,13 @@
 """Registry of asserted identities, each verified by independent routes.
 
 Every claim pairs a left and a right computation that share nothing beyond
-the exact-arithmetic primitives: the integer polynomials of phi against the
-excedance tally, closed forms against recurrences, and so on.  phi comes
-from its polynomials and tanh from a series division, so C3 compares two
+the exact-arithmetic primitives: the integer polynomials of phi against
+the excedance tally, read from the Eulerian rows in powers of t or folded
+at t = -1, closed forms against recurrences, and so on.  phi comes from
+its polynomials and tanh from a series division, so C3 compares two
 independent routes.  A claim is evaluated over its whole finite index
-range at once, so each series and prefix it reads is computed once, at
-the top of the range.  Any index where the two sides disagree becomes a
+range at once, so each series, prefix and tally it reads is computed once,
+at the top of the range.  Any index where the two sides disagree becomes a
 counterexample, and the verdict is FAIL exactly when at least one
 counterexample exists.  A ClaimResult holds its Claim, the top index
 checked and the counterexamples, and derives its verdict from them; only
@@ -30,12 +31,7 @@ from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
-from .permutations import (
-    alternating_sum_bruteforce,
-    count_alternating,
-    eulerian_poly_bruteforce,
-    excedance_distribution,
-)
+from .permutations import count_alternating, eulerian_rows
 from .sequences import (
     alternating_sums,
     genocchis,
@@ -210,8 +206,26 @@ def _render_json(report: Report, *, include_meta: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# claim evaluators: each reads its prefixes and series once, at the top
-# order ns.stop - 1, which is hi >= 0 even where ns is empty
+# claim evaluators: each reads its prefixes, series and tally rows once, at
+# the top order ns.stop - 1, which is hi >= 0 even where ns is empty
+
+
+def _at(coeffs: list[int], x: ExactValue) -> ExactValue:
+    """The polynomial with these coefficients, lowest power first, at x."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _tallies(count: int) -> list[list[int]]:
+    """Excedance tallies of lengths 0 .. count-1, in powers of t."""
+    return [[1], *eulerian_rows(count - 1)]
+
+
+def _tally_sums(count: int) -> list[int]:
+    """S(0) .. S(count-1), the sums of (-1)^exc: each tally at t = -1."""
+    return [_at(row, -1) for row in _tallies(count)]
 
 
 def _eval_egf_standard(ns: range) -> Triples:
@@ -219,8 +233,9 @@ def _eval_egf_standard(ns: range) -> Triples:
     # per coefficient: the expansion of phi against the tally row, whose
     # t^i = (s+1)^i contributes C(i,j) to s^j.
     polys = phi_polynomials(ns.stop - 1)
+    tallies = _tallies(ns.stop)
     for n in ns:
-        tally = excedance_distribution(n)
+        tally = tallies[n]
         row = [sum(binomial(i, j) * c for i, c in enumerate(tally)) for j in range(len(tally))]
         for lhs, rhs in zip_longest(polys[n], row, fillvalue=0):
             yield n, lhs, rhs
@@ -228,10 +243,12 @@ def _eval_egf_standard(ns: range) -> Triples:
 
 def _eval_egf_shifted(ns: range) -> Triples:
     # Sec 2.2 weights each permutation by t^(exc+1); length 0 keeps weight 1.
-    phis = [phi_series(t, ns.stop - 1) for t in _T_POINTS]
+    # The left side is phi's a_n at s = t - 1, the right the tally row at t.
+    polys = phi_polynomials(ns.stop - 1)
+    tallies = _tallies(ns.stop)
     for n in ns:
-        for t, phi in zip(_T_POINTS, phis):
-            yield n, egf_coeff(phi, n), t * eulerian_poly_bruteforce(n, t) if n else 1
+        for t in _T_POINTS:
+            yield n, _at(polys[n], t - 1), t * _at(tallies[n], t) if n else 1
 
 
 def _eval_phi_tanh(ns: range) -> Triples:
@@ -243,11 +260,13 @@ def _eval_phi_tanh(ns: range) -> Triples:
 
 def _eval_sum_rule(ns: range) -> Triples:
     sums = alternating_sums(ns.stop)
-    return ((n, sums[n], alternating_sum_bruteforce(n)) for n in ns)
+    tally_sums = _tally_sums(ns.stop)
+    return ((n, sums[n], tally_sums[n]) for n in ns)
 
 
 def _eval_even_parity(ns: range) -> Triples:
-    return ((n, alternating_sum_bruteforce(n), 0) for n in ns if n % 2 == 0)
+    tally_sums = _tally_sums(ns.stop)
+    return ((n, tally_sums[n], 0) for n in ns if n % 2 == 0)
 
 
 def _eval_tangent_routes(ns: range) -> Triples:
@@ -278,9 +297,10 @@ def _eval_integrality(ns: range) -> Triples:
 
 def _eval_genocchi_relation(ns: range) -> Triples:
     g = genocchis(ns.stop)  # G(1) .. G(ns.stop)
+    tally_sums = _tally_sums(ns.stop)
     for n in ns:
         sign = -1 if ((n + 1) // 2) % 2 else 1
-        yield n, alternating_sum_bruteforce(n), sign * g[n]
+        yield n, tally_sums[n], sign * g[n]
 
 
 def _eval_genocchi_recurrence(ns: range) -> Triples:
@@ -310,18 +330,20 @@ def _sign_exponent(n: int, k: int) -> int:
 
 def _eval_signed_recurrence(ns: range) -> Triples:
     sums = alternating_sums(ns.stop)
+    tally_sums = _tally_sums(ns.stop)
     for n in ns:
         lhs = sum(
             (-1) ** _sign_exponent(n, k) * binomial(n + 1, k) * sums[k] for k in range(1, n)
         )
-        yield n, lhs, alternating_sum_bruteforce(n)
+        yield n, lhs, tally_sums[n]
 
 
 def _eval_insertion_recurrence(ns: range) -> Triples:
     sums = alternating_sums(ns.stop)
+    tally_sums = _tally_sums(ns.stop + 1)
     for n in ns:
         lhs = sum((-1) ** k * binomial(n, k) * sums[k] for k in range(n + 1))
-        yield n, lhs, alternating_sum_bruteforce(n + 1)
+        yield n, lhs, tally_sums[n + 1]
 
 
 def _eval_odd_function(ns: range) -> Triples:

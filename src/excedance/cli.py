@@ -16,6 +16,7 @@ import importlib
 import re
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import __version__
 from .exact import (
@@ -25,10 +26,8 @@ from .exact import (
     SERIES_ORDER_LIMIT,
     T_DIGITS_LIMIT,
     GuardError,
-    factorial,
     format_exact,
     format_table,
-    parse_rational,
     require_within,
 )
 
@@ -45,7 +44,7 @@ SEQUENCES = {
     "tangent": lambda count: _module("sequences").tangents(count),
     "bernoulli": lambda count: _module("sequences").bernoullis(count),
     "genocchi": lambda count: _module("sequences").genocchis(count),
-    "eulerian": lambda count: _module("sequences").eulerian_rows(count),
+    "eulerian": lambda count: _module("permutations").eulerian_rows(count),
     "altsum": lambda count: _module("sequences").alternating_sums(count),
 }
 
@@ -198,7 +197,7 @@ def _rational_arg(text: str) -> Fraction:
             f"exponent notation is not accepted: {shown}; write t as p/q or an integer"
         )
     try:
-        t = parse_rational(text)
+        t = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {shown}")
     if max(abs(t.numerator), t.denominator) >= 10**T_DIGITS_LIMIT:

@@ -30,10 +30,8 @@ __all__ = [
     "SEQ_COUNT_LIMIT",
     "T_DIGITS_LIMIT",
     "require_within",
-    "factorial",
     "binomial",
     "as_rational",
-    "parse_rational",
     "format_exact",
     "format_table",
 ]
@@ -63,19 +61,6 @@ def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> N
     """
     if not lo <= value <= hi:
         raise GuardError(f"{what} must be within {lo}..{hi}{hint}, got {value}")
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0.
-
-    >>> factorial(0)
-    1
-    >>> factorial(5)
-    120
-    """
-    if n < 0:
-        raise ValueError(f"factorial undefined for negative n={n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -109,11 +94,6 @@ def as_rational(value: Fraction | int) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"exact arithmetic only: got float {value!r}")
     return Fraction(value)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer string into an exact rational."""
-    return Fraction(text)
 
 
 def format_exact(value: ExactValue) -> str:

@@ -1,28 +1,26 @@
-"""Permutation statistics, their polynomial-time counts, and the
-enumeration oracle.
+"""Permutation statistics, their polynomial-time counts, and the enumeration
+oracle.
 
 Statistics are computed straight from their definitions, and
 ``enumerate_permutations`` yields every permutation of a length, the
 exhaustive oracle the tests check the counting routes against; it is the
 one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
 table of :mod:`excedance.exact`, because its work is n!.  The excedance
-distribution comes from an open-arc dynamic program over Laguerre
-histories in O(n^3) integer steps, with no cache and no enumeration; the
-alternating sum and the excedance polynomial (weight t^exc, as in eq (1),
-and no other) both read it.  Up-down permutations are counted by the
-Seidel-Entringer rank recurrence in O(n^2) additions, and the tests check
-the count against filtered enumeration up to length 9.  Positions and
-values are 1-based throughout: a permutation is its one-line notation
-(sigma(1), ..., sigma(n)) and length 0 is the empty permutation, which has
-no excedances and counts as alternating.
+tally is the Eulerian triangle of :func:`eulerian_rows`, O(n^2) integer
+steps with no enumeration, which ``seq eulerian``, ``dist`` and the claims
+read.  Up-down permutations are counted by the Seidel-Entringer rank
+recurrence in O(n^2) additions, and the tests check the count against
+filtered enumeration up to length 9.  Positions and values are 1-based
+throughout: a permutation is its one-line notation (sigma(1), ...,
+sigma(n)) and length 0 is the empty permutation, which has no excedances
+and counts as alternating.
 """
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator
 
-from .exact import ENUMERATION_LIMIT, GuardError, as_rational, require_within
+from .exact import ENUMERATION_LIMIT, GuardError, require_within
 
 __all__ = [
     "GuardError",
@@ -30,10 +28,9 @@ __all__ = [
     "excedance_count",
     "is_alternating_up_down",
     "enumerate_permutations",
+    "eulerian_rows",
     "excedance_distribution",
-    "alternating_sum_bruteforce",
     "count_alternating",
-    "eulerian_poly_bruteforce",
 ]
 
 class Permutation:
@@ -124,54 +121,50 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
     return (Permutation(raw) for raw in itertools.permutations(range(1, n + 1)))
 
 
+def eulerian_rows(count: int) -> Iterator[list[int]]:
+    """Rows 1..count of the Eulerian triangle, each a fresh list: row n
+    tallies the permutations of length n by excedance count.
+
+    E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1), from row 0 = [1], is an
+    excedance argument: insert n into the cycles of a permutation sigma of
+    length n-1 as a fixed point or right after a value i, so that
+    sigma'(i) = n and sigma'(n) = sigma(i).  The count stays the same when
+    n is fixed or i was an excedance (k+1 ways), and rises by one when i
+    was a fixed point or a deficiency (n-k ways from count k-1).  A
+    negative count raises here, before any row is asked for.
+
+    >>> list(eulerian_rows(3))
+    [[1], [1, 1], [1, 4, 1]]
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return _eulerian_rows(count)
+
+
+def _eulerian_rows(count: int) -> Iterator[list[int]]:
+    padded = [0, 1, 0]
+    for n in range(1, count + 1):
+        row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
+        padded = [0, *row, 0]
+        yield row
+
+
 def excedance_distribution(n: int) -> list[int]:
-    """Tally of permutations of length n by excedance count, k = 0..n-1;
-    the one permutation of length 0 has 0 excedances.
+    """Tally of permutations of length n by excedance count, k = 0..n-1:
+    row n of :func:`eulerian_rows`.  The one permutation of length 0 has 0
+    excedances.
 
     >>> excedance_distribution(3)
     [1, 4, 1]
     >>> excedance_distribution(0)
     [1]
     """
-    # Open-arc dynamic programming over Laguerre histories (Flajolet 1980):
-    # step i places position i and value i.  An open arc is a position
-    # still waiting for a larger value, paired in number with a value still
-    # waiting for a later position; arcs[j][k] counts the ways to reach j
-    # open arcs with k excedances.  Position i is an excedance exactly when
-    # it opens.  States with more open arcs than steps left never close.
     if n < 0:
         raise ValueError(f"permutation length must be >= 0, got {n}")
-    arcs = [[1] + [0] * n]
-    for i in range(1, n + 1):
-        grown = [[0] * (n + 1) for _ in range(len(arcs) + 1)]
-        for j, row in enumerate(arcs):
-            for k, ways in enumerate(row[:i]):
-                # Fix i, or close position i on one of j values and open value i.
-                grown[j][k] += (j + 1) * ways
-                # Open position i and close value i on one of j positions.
-                grown[j][k + 1] += j * ways
-                # Open both.
-                grown[j + 1][k + 1] += ways
-                if j:
-                    # Close both.
-                    grown[j - 1][k] += j * j * ways
-        arcs = grown[: n - i + 1]
-    # No permutation of length n >= 1 has n excedances.
-    return arcs[0][: n or 1]
-
-
-def alternating_sum_bruteforce(n: int) -> int:
-    """Sum of (-1)^exc(sigma) over all permutations of length n, read from
-    the open-arc tally (no enumeration, despite the name).
-
-    >>> alternating_sum_bruteforce(0)
-    1
-    >>> alternating_sum_bruteforce(2)
-    0
-    >>> alternating_sum_bruteforce(3)
-    -2
-    """
-    return sum(-c if k % 2 else c for k, c in enumerate(excedance_distribution(n)))
+    row = [1]
+    for row in _eulerian_rows(n):
+        pass
+    return row
 
 
 def count_alternating(n: int) -> int:
@@ -198,18 +191,3 @@ def count_alternating(n: int) -> int:
             ways = list(itertools.accumulate(reversed(ways[1:])))[::-1]
     return sum(ways) if n else 1
 
-
-def eulerian_poly_bruteforce(n: int, t: Fraction | int) -> Fraction:
-    """Evaluate the excedance polynomial, the sum of t^exc(sigma) over all
-    permutations of length n, from the open-arc tally (no enumeration,
-    despite the name).  A float t is refused before any tally.
-
-    >>> eulerian_poly_bruteforce(3, 1)
-    Fraction(6, 1)
-    >>> eulerian_poly_bruteforce(3, -1)
-    Fraction(-2, 1)
-    >>> eulerian_poly_bruteforce(0, 7)
-    Fraction(1, 1)
-    """
-    t = as_rational(t)
-    return sum((count * t**k for k, count in enumerate(excedance_distribution(n))), Fraction(0))

@@ -3,7 +3,6 @@
 Every sequence here has at least two independent computation routes so the
 claims module can cross-validate them:
 
-* Eulerian numbers: triangle recurrence, checked against the open-arc tally.
 * Bernoulli numbers: defining recurrence sum_{j<=n} C(n+1,j) B_j = 0,
   checked against the x/(e^x-1) series, whose expansion forces the
   convention where index 1 gives -1/2.
@@ -15,27 +14,25 @@ claims module can cross-validate them:
   G_2k = (-1)^k k T_(2k-1) / 4^(k-1), checked against the exponential
   coefficients of 2x/(e^x+1).
 * Alternating excedance sums: closed form in terms of tangent numbers,
-  checked against the open-arc tally.
+  checked against the Eulerian rows of :mod:`excedance.permutations`
+  folded at t = -1.
 
 Each sequence has one public prefix function that computes its first
-``count`` values from scratch (:func:`eulerian_rows` yields rows); the
-one scalar, :func:`bernoulli`, reads its index from :func:`bernoullis`
-for the Bernoulli route to the tangent numbers.  Nothing is kept between
-calls.  Everything is exact: the rational routes return their raw
-fractions, whose denominators the claims check, and the one integer
-division, in :func:`genocchis`, raises on a non-zero remainder, so a
-convention slip fails loudly instead of rounding.
+``count`` values from scratch; the one scalar, :func:`bernoulli`, reads
+its index from :func:`bernoullis` for the Bernoulli route to the tangent
+numbers.  Nothing is kept between calls.  Everything is exact: the
+rational routes return their raw fractions, whose denominators the claims
+check, and the one integer division, in :func:`genocchis`, raises on a
+non-zero remainder, so a convention slip fails loudly instead of rounding.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 
 from .exact import binomial
 
 __all__ = [
-    "eulerian_rows",
     "bernoullis", "bernoulli",
     "tangents", "tangent_bernoulli_value", "tangent_series_value",
     "genocchis",
@@ -46,28 +43,6 @@ __all__ = [
 def _require_count(count: int) -> None:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-
-
-def eulerian_rows(count: int) -> Iterator[list[int]]:
-    """Rows 1..count of the Eulerian triangle, each a fresh list.
-
-    Each row comes from the one before by the triangle recurrence
-    E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1), read from row 0 = [1].
-    A negative count raises here, before any row is asked for.
-
-    >>> list(eulerian_rows(3))
-    [[1], [1, 1], [1, 4, 1]]
-    """
-    _require_count(count)
-    return _eulerian_rows(count)
-
-
-def _eulerian_rows(count: int) -> Iterator[list[int]]:
-    padded = [0, 1, 0]
-    for n in range(1, count + 1):
-        row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
-        padded = [0, *row, 0]
-        yield row
 
 
 def bernoullis(count: int) -> list[Fraction]:

@@ -19,8 +19,9 @@ from one series at the top order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .exact import as_rational, binomial, factorial, format_exact
+from .exact import as_rational, binomial, format_exact
 
 __all__ = [
     "Series",

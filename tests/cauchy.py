@@ -1,7 +1,10 @@
-"""The Cauchy product of two truncated series: the tests' independent check
-of series division, written without any division of its own."""
+"""Independent checks the tests share, each written without the package's
+own route: the Cauchy product of two truncated series, which checks series
+division without any division of its own, and the change of variable from
+s = t - 1 to t, which reads phi's polynomials as excedance tallies."""
 from fractions import Fraction
 
+from excedance.exact import binomial
 from excedance.series import Series
 
 
@@ -12,3 +15,10 @@ def series_mul(a: Series, b: Series) -> Series:
         sum((a.coeffs[j] * b.coeffs[k - j] for j in range(k + 1)), Fraction(0))
         for k in range(n + 1)
     ))
+
+
+def in_powers_of_t(a: list[int]) -> list[int]:
+    """Integer coefficients of a(t - 1) in t, from those of a(s) in s:
+    s^j = (t - 1)^j gives C(j, i) (-1)^(j-i) to t^i for each i <= j."""
+    return [sum(binomial(j, i) * (-1) ** (j - i) * a[j] for j in range(i, len(a)))
+            for i in range(len(a))]

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from cauchy import in_powers_of_t
 
 import excedance
 from excedance import claims, series
@@ -70,7 +71,7 @@ def test_registry_table_is_well_formed():
 def test_phi_polynomials_are_frobenius_and_the_enumerated_tally():
     # Coefficient j of a_n, in powers of s = t - 1, is (n-j)! S(n, n-j),
     # which counts the surjections of n onto n - j; read in powers of t it
-    # is the tally of the enumeration oracle.
+    # is the tally of the enumeration oracle, in integers only.
     def surjections(n, k):
         return sum((-1) ** i * binomial(k, i) * (k - i) ** n for i in range(k + 1))
 
@@ -78,8 +79,8 @@ def test_phi_polynomials_are_frobenius_and_the_enumerated_tally():
         size = max(n, 1)
         assert a == [surjections(n, n - j) for j in range(size)]
         counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
-        in_t = [sum((-1) ** (j - i) * binomial(j, i) * c for j, c in enumerate(a))
-                for i in range(size)]
+        in_t = in_powers_of_t(a)
+        assert all(type(c) is int for c in in_t)
         assert in_t == [counts[i] for i in range(size)]
 
 
@@ -93,15 +94,38 @@ def test_c1_compares_integer_coefficients():
 
 def test_c1_fails_on_a_wrong_tally(monkeypatch):
     # One permutation too many without excedances at length 5 fails there only.
-    tally = claims.excedance_distribution
+    rows = claims.eulerian_rows
 
-    def miscounted(n):
-        row = tally(n)
-        return [row[0] + 1, *row[1:]] if n == 5 else row
+    def miscounted(count):
+        for n, row in enumerate(rows(count), 1):
+            yield [row[0] + 1, *row[1:]] if n == 5 else row
 
-    monkeypatch.setattr(claims, "excedance_distribution", miscounted)
+    monkeypatch.setattr(claims, "eulerian_rows", miscounted)
     result = verify_claim("C1-egf-standard")
     assert result.verdict == "FAIL" and {c.n for c in result.counterexamples} == {5}
+
+
+@pytest.mark.parametrize("claim_id", [
+    "C1-egf-standard", "C2-egf-shifted", "C4-sum-rule", "C5-parity",
+    "C8-genocchi-relation", "C11-signed-recurrence", "C12-insertion-recurrence",
+])
+def test_a_claim_reads_phi_and_its_tally_rows_once(claim_id, monkeypatch):
+    # Each evaluator expands phi and reads the tally rows at most once, at
+    # the top of its range, not once per index or per evaluation point.
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(claims, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("phi_polynomials", "eulerian_rows"):
+        monkeypatch.setattr(claims, name, counted(name))
+    verify_claim(claim_id, get_claim(claim_id).hi)
+    assert calls["eulerian_rows"] == 1 and calls["phi_polynomials"] <= 1
 
 
 @pytest.mark.parametrize("claim_id, divisions", [

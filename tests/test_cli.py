@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
+from cauchy import in_powers_of_t
 
 from excedance import claims, cli
 from excedance.exact import (
@@ -13,9 +15,8 @@ from excedance.exact import (
     SEQ_COUNT_LIMIT,
     SERIES_ORDER_LIMIT,
     T_DIGITS_LIMIT,
-    factorial,
 )
-from excedance.sequences import eulerian_rows
+from excedance.series import phi_polynomials
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
@@ -119,10 +120,12 @@ def test_dist_guard_and_force():
 
 
 def test_dist_at_the_forced_limit_is_the_eulerian_row():
+    # The row dist prints against phi's polynomial read in powers of t.
     result = run_cli("dist", str(ENUMERATION_LIMIT), "--force", "--format", "json", timeout=15)
     assert result.returncode == 0
     doc = json.loads(result.stdout)
-    assert [int(row["count"]) for row in doc["rows"]] == list(eulerian_rows(ENUMERATION_LIMIT))[-1]
+    expected = in_powers_of_t(phi_polynomials(ENUMERATION_LIMIT)[ENUMERATION_LIMIT])
+    assert [int(row["count"]) for row in doc["rows"]] == expected
     assert doc["sum"] == doc["factorial"] == str(factorial(ENUMERATION_LIMIT))
 
 

@@ -25,12 +25,11 @@ def test_package_exports_are_pinned():
     assert sorted(excedance.__all__) == [
         "Claim", "ClaimResult", "Counterexample", "GuardError", "Permutation",
         "Report", "Series", "__version__",
-        "alternating_sum_bruteforce", "bernoulli", "bernoulli_series", "binomial",
+        "bernoulli", "bernoulli_series", "binomial",
         "claim_ids", "count_alternating", "egf_coeff", "enumerate_permutations",
-        "eulerian_poly_bruteforce",
-        "excedance_count", "excedance_distribution", "exp_linear", "factorial",
+        "excedance_count", "excedance_distribution", "exp_linear",
         "format_exact", "genocchi_series", "is_alternating_up_down",
-        "parse_rational", "phi_polynomials", "phi_series", "render_report",
+        "phi_polynomials", "phi_series", "render_report",
         "series_add", "tanh_series", "verify_all", "verify_claim",
     ]
     for name in excedance.__all__:
@@ -79,13 +78,16 @@ def test_cli_import_leaves_slow_modules_unloaded():
 @pytest.mark.parametrize("argv, runs, unloaded", [
     (["seq", "tangent", "--count", "3"], "sequences",
      {"excedance.claims", "excedance.series", "json"}),
+    # The Eulerian rows are the excedance tally, so they live in permutations.
+    (["seq", "eulerian", "--count", "3"], "permutations",
+     {"excedance.claims", "excedance.series", "excedance.sequences", "json"}),
     (["dist", "5"], "permutations",
      {"excedance.claims", "excedance.series", "excedance.sequences", "json"}),
     (["series", "tanh", "--order", "3"], "series",
      {"excedance.claims", "excedance.permutations", "json"}),
     # Only the JSON metadata reads the clock, so a text report never loads it.
     (["verify"], "claims", {"datetime", "json"}),
-], ids=["seq", "dist", "series", "verify"])
+], ids=["seq", "seq-eulerian", "dist", "series", "verify"])
 def test_each_command_loads_only_what_it_runs(argv, runs, unloaded):
     code = (f"import sys, excedance.cli; code = excedance.cli.main({argv!r}); "
             f"print(code, 'excedance.{runs}' in sys.modules, "

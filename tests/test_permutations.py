@@ -4,21 +4,26 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from cauchy import in_powers_of_t
 
-from excedance import permutations
 from excedance.claims import verify_all
 from excedance.permutations import (
     GuardError,
     Permutation,
-    alternating_sum_bruteforce,
     count_alternating,
     enumerate_permutations,
-    eulerian_poly_bruteforce,
+    eulerian_rows,
     excedance_count,
     excedance_distribution,
     is_alternating_up_down,
 )
-from excedance.sequences import eulerian_rows, tangents
+from excedance.sequences import tangents
+from excedance.series import phi_polynomials
+
+
+def at(row, t):
+    """The tally row folded at t: the sum of t^exc over its permutations."""
+    return sum(c * t**k for k, c in enumerate(row))
 
 
 def test_permutation_validates_bijection():
@@ -119,15 +124,16 @@ def test_distribution_sums_and_symmetry_to_8():
 
 
 def test_alternating_sum_bruteforce_values():
-    assert [alternating_sum_bruteforce(n) for n in range(9)] == [
+    # S(n), the sum of (-1)^exc over length n, read from the tally row.
+    assert [at(excedance_distribution(n), -1) for n in range(9)] == [
         1, 1, 0, -2, 0, 16, 0, -272, 0,
     ]
 
 
 def test_alternating_sum_agrees_with_distribution_fold():
     for n in range(1, 9):
-        folded = sum((-1) ** k * c for k, c in enumerate(excedance_distribution(n)))
-        assert alternating_sum_bruteforce(n) == folded
+        counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
+        assert at(excedance_distribution(n), -1) == sum((-1) ** k * c for k, c in counts.items())
 
 
 def test_count_alternating_examples():
@@ -160,17 +166,8 @@ def test_count_alternating_has_no_length_limit():
         count_alternating(-1)
 
 
-def test_polynomial_routes_check_their_arguments_before_reading_a_row(monkeypatch):
-    def unread(n):
-        pytest.fail(f"tally of length {n} read for a refused call")
-
-    monkeypatch.setattr(permutations, "excedance_distribution", unread)
-    with pytest.raises(TypeError):
-        eulerian_poly_bruteforce(12, 0.5)
-
-
 def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
-    # The tallies come from the open-arc DP, so verify enumerates nothing.
+    # The tallies come from the Eulerian rows, so verify enumerates nothing.
     calls = []
     raw = itertools.permutations
 
@@ -189,10 +186,12 @@ def test_excedance_tally_matches_enumeration_and_the_triangle():
         # The row sums to n!, so no count is left outside it.
         row = excedance_distribution(n)
         assert row == [counts[k] for k in range(max(n, 1))] and sum(row) == factorial(n)
-    rows = list(eulerian_rows(100))
+    # Past the oracle, phi's polynomials read in powers of t are a second
+    # route to the same rows.
+    polys = phi_polynomials(100)
     for n in (12, 50, 100):
         row = excedance_distribution(n)
-        assert row == rows[n - 1] and sum(row) == factorial(n)
+        assert row == in_powers_of_t(polys[n]) and sum(row) == factorial(n)
 
 
 def test_even_length_counts_match_down_up_recount():
@@ -211,16 +210,16 @@ def test_even_length_counts_match_down_up_recount():
 
 
 def test_eulerian_poly_bruteforce_values():
-    assert eulerian_poly_bruteforce(3, 1) == 6
-    assert eulerian_poly_bruteforce(3, -1) == -2
-    assert eulerian_poly_bruteforce(3, -1) == alternating_sum_bruteforce(3)
+    # The excedance polynomial, the tally row folded at t.
+    assert at(excedance_distribution(3), 1) == 6
+    assert at(excedance_distribution(3), -1) == -2
 
 
 def test_eulerian_poly_bruteforce_empty_permutation():
-    assert eulerian_poly_bruteforce(0, 7) == 1
+    assert at(excedance_distribution(0), 7) == 1
 
 
 def test_eulerian_poly_bruteforce_rational_point():
-    value = eulerian_poly_bruteforce(3, Fraction(1, 2))
+    value = at(excedance_distribution(3), Fraction(1, 2))
     assert value == 1 + 4 * Fraction(1, 2) + Fraction(1, 4)
 

@@ -1,19 +1,20 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from excedance import claims, sequences, series
 from excedance.permutations import (
-    alternating_sum_bruteforce,
     count_alternating,
-    eulerian_poly_bruteforce,
+    enumerate_permutations,
+    eulerian_rows,
+    excedance_count,
     excedance_distribution,
 )
 from excedance.sequences import (
     alternating_sums,
     bernoulli,
     bernoullis,
-    eulerian_rows,
     genocchis,
     tangent_bernoulli_value,
     tangent_series_value,
@@ -42,7 +43,8 @@ def test_eulerian_rows_numbers_and_tally_agree_to_12():
 
 def test_eulerian_rows_match_bruteforce_to_8():
     for n in range(1, 9):
-        assert ROWS[n - 1] == excedance_distribution(n)
+        counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
+        assert ROWS[n - 1] == [counts[k] for k in range(n)]
 
 
 def test_eulerian_row_sums_are_factorials():
@@ -53,14 +55,12 @@ def test_eulerian_row_sums_are_factorials():
 
 
 def test_eulerian_poly_at_values():
-    assert eulerian_poly_bruteforce(5, 1) == 120
-    assert eulerian_poly_bruteforce(5, -1) == 16
-    assert eulerian_poly_bruteforce(0, 7) == 1
-    # 1 - 26 + 66 - 26 + 1 from the fifth row
-    assert sum((-1) ** k * c for k, c in enumerate(ROWS[4])) == 16
-    for t in (1, -1, 2, Fraction(1, 3)):
-        row_value = sum(c * t**k for k, c in enumerate(ROWS[4]))
-        assert eulerian_poly_bruteforce(5, t) == row_value
+    # The fifth row folded at t; at t = 2 it is the Fubini number 541.
+    def at(t):
+        return sum(c * t**k for k, c in enumerate(ROWS[4]))
+
+    assert ROWS[4] == [1, 26, 66, 26, 1]
+    assert [at(1), at(-1), at(2), at(Fraction(1, 3))] == [120, 16, 541, Fraction(1456, 81)]
 
 
 def test_bernoulli_values():
@@ -157,8 +157,9 @@ def test_alternating_sum_closed_form():
 
 
 def test_alternating_sum_matches_bruteforce_to_8():
+    # The closed form against the tally row folded at t = -1.
     for n, value in enumerate(alternating_sums(9)):
-        assert value == alternating_sum_bruteforce(n)
+        assert value == sum((-1) ** k * c for k, c in enumerate(excedance_distribution(n)))
 
 
 def test_alternating_sum_signs_track_tangent():

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from cauchy import series_mul
 
-from excedance.exact import factorial
 from excedance.permutations import Permutation
 from excedance.series import (
     Series,
