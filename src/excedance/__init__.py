@@ -29,10 +29,9 @@ _EXPORTS = {
         "claims": ("Claim", "ClaimResult", "Counterexample", "Report", "claim_ids",
                    "render_report", "verify_all", "verify_claim"),
         "exact": ("GuardError", "binomial", "format_exact"),
-        "permutations": ("Permutation", "count_alternating", "enumerate_permutations",
+        "permutations": ("Permutation", "alternating_counts", "enumerate_permutations",
                          "excedance_count", "excedance_distribution",
                          "is_alternating_up_down"),
-        "sequences": ("bernoulli",),
         "series": ("Series", "bernoulli_series", "egf_coeff", "exp_linear",
                    "genocchi_series", "phi_polynomials", "phi_series", "series_add",
                    "tanh_series"),

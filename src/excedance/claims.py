@@ -7,11 +7,12 @@ at t = -1, closed forms against recurrences, and so on.  phi comes from
 its polynomials and tanh from a series division, so C3 compares two
 independent routes.  A claim is evaluated over its whole finite index
 range at once, so each series, prefix and tally it reads is computed once,
-at the top of the range.  Any index where the two sides disagree becomes a
-counterexample, and the verdict is FAIL exactly when at least one
-counterexample exists.  A ClaimResult holds its Claim, the top index
-checked and the counterexamples, and derives its verdict from them; only
-the JSON report's metadata adds a timestamp and the package version.
+at the top of the range; C6 and C7 read each tangent route as one such
+prefix.  Any index where the two sides disagree becomes a counterexample,
+and the verdict is FAIL exactly when at least one counterexample exists.
+A ClaimResult holds its Claim, the top index checked and the
+counterexamples, and derives its verdict from them; only the JSON
+report's metadata adds a timestamp and the package version.
 
 Claims are registered verbatim as asserted in their source text, including
 the ones that are false; the point of the harness is to find that out
@@ -31,13 +32,13 @@ from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
-from .permutations import count_alternating, eulerian_rows
+from .permutations import alternating_counts, eulerian_rows
 from .sequences import (
     alternating_sums,
     genocchis,
-    tangent_bernoulli_value,
-    tangent_series_value,
     tangents,
+    tangents_by_bernoulli,
+    tangents_by_tanh,
 )
 from .series import egf_coeff, genocchi_series, phi_polynomials, phi_series, tanh_series
 
@@ -270,27 +271,25 @@ def _eval_even_parity(ns: range) -> Triples:
 
 
 def _eval_tangent_routes(ns: range) -> Triples:
-    integers = tangents(ns.stop // 2)
+    # Each prefix holds T(m) at m // 2; up-down counts are read at odd m.
+    count = ns.stop // 2
+    routes = (tangents(count), tangents_by_bernoulli(count), tangents_by_tanh(count),
+              alternating_counts(ns.stop)[1::2])
     for m in ns:
         if m % 2:
-            values = [
-                integers[m // 2],
-                tangent_bernoulli_value(m),
-                tangent_series_value(m),
-                count_alternating(m),
-            ]
+            values = [route[m // 2] for route in routes]
             for lhs, rhs in zip(values, values[1:]):
                 yield m, lhs, rhs
 
 
 def _eval_integrality(ns: range) -> Triples:
-    tanh = tanh_series(ns.stop - 1)
+    count = ns.stop // 2
+    rational_routes = (tangents_by_bernoulli(count), tangents_by_tanh(count))
     genocchi = genocchi_series(min(ns.stop - 1, 16))
     for n in ns:
         if n % 2:
-            # The series route's sign does not change its denominator.
-            yield n, tangent_bernoulli_value(n).denominator, 1
-            yield n, egf_coeff(tanh, n).denominator, 1
+            for route in rational_routes:
+                yield n, route[n // 2].denominator, 1
         if n <= 16:
             yield n, egf_coeff(genocchi, n).denominator, 1
 

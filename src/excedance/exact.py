@@ -41,13 +41,15 @@ class GuardError(ValueError):
     """Raised when input from outside is refused, e.g. past a work limit below."""
 
 
-# Work limits: where each applies, and its measured cost (2 cores, Python 3.11).
-DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; the oracle enumerates 8! in 0.17 s
-ENUMERATION_LIMIT = 12  # enumerate_permutations, 16 s at 10; CLI dist n --force, 0.14 s at 12
-SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.17 s
-SEQ_COUNT_LIMIT = 500  # CLI seq eulerian --count 500, the slowest seq, takes 1.3 s; genocchi 0.10 s
+# Work limits: where each applies, and its measured cost (2 cores, Python 3.11.7;
+# CLI times with process start, median of 5 to 11).  Each limit stays even where
+# its work is now cheap, because removing it would change the exit code of refused inputs.
+DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; verify enumerates nothing, 0.07 s
+ENUMERATION_LIMIT = 12  # enumerate_permutations, 7.2 s at 10; CLI dist 12 --force, one row, 0.07 s
+SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.08 s
+SEQ_COUNT_LIMIT = 500  # CLI seq eulerian --count 500, the slowest seq, takes 1.2 s; genocchi 0.09 s
 # CLI series phi --t: digits of its numerator and of its denominator.  At order 64
-# the coefficients reach about 64*d + 100 digits, 2100 at 32: 0.2 s, 0.45 s for p/q.
+# the coefficients reach about 64*d + 100 digits, 2100 at 32: 0.11 s, 0.13 s for p/q.
 T_DIGITS_LIMIT = 32
 
 

@@ -8,12 +8,12 @@ one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
 table of :mod:`excedance.exact`, because its work is n!.  The excedance
 tally is the Eulerian triangle of :func:`eulerian_rows`, O(n^2) integer
 steps with no enumeration, which ``seq eulerian``, ``dist`` and the claims
-read.  Up-down permutations are counted by the Seidel-Entringer rank
-recurrence in O(n^2) additions, and the tests check the count against
-filtered enumeration up to length 9.  Positions and values are 1-based
-throughout: a permutation is its one-line notation (sigma(1), ...,
-sigma(n)) and length 0 is the empty permutation, which has no excedances
-and counts as alternating.
+read.  Up-down permutations of every length below a bound are counted by
+one pass of Seidel's boustrophedon triangle in O(n^2) additions, and the
+tests check the counts against filtered enumeration up to length 9.
+Positions and values are 1-based throughout: a permutation is its one-line
+notation (sigma(1), ..., sigma(n)) and length 0 is the empty permutation,
+which has no excedances and counts as alternating.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ __all__ = [
     "enumerate_permutations",
     "eulerian_rows",
     "excedance_distribution",
-    "count_alternating",
+    "alternating_counts",
 ]
 
 class Permutation:
@@ -167,27 +167,24 @@ def excedance_distribution(n: int) -> list[int]:
     return row
 
 
-def count_alternating(n: int) -> int:
-    """Number of up-down permutations of length n.
+def alternating_counts(count: int) -> list[int]:
+    """E_0 .. E_(count-1): E_n counts the up-down permutations of length n.
 
-    >>> count_alternating(1)
-    1
-    >>> count_alternating(3)
-    2
-    >>> count_alternating(5)
-    16
+    One pass of Seidel's boustrophedon triangle (Millar, Sloane and Young,
+    J. Combin. Theory A 76, 1996): row n holds the Entringer numbers
+    E(n, k), the down-up permutations of 1..n+1 that start with k+1, and
+    E(n, k) = E(n, k-1) + E(n-1, n-k).  Its last entry counts those that
+    start with n+1; removing that value leaves an up-down permutation of
+    length n, so the entry is E_n.  O(count^2) additions.
+
+    >>> alternating_counts(6)
+    [1, 1, 1, 2, 5, 16]
     """
-    if n < 0:
-        raise ValueError(f"permutation length must be >= 0, got {n}")
-    # Seidel-Entringer dynamic programming by rank: ways[r] counts the
-    # up-down prefixes whose last value has r unused values below it.  A
-    # rise to a value with r' unused below comes from every r <= r', a
-    # fall from every r > r', so each step is one running sum.
-    ways = [1] * n
-    for length in range(1, n):
-        if length % 2:
-            ways = list(itertools.accumulate(ways[:-1]))
-        else:
-            ways = list(itertools.accumulate(reversed(ways[1:])))[::-1]
-    return sum(ways) if n else 1
-
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    row = [1]
+    counts = row[:count]
+    for _ in range(1, count):
+        row = [0, *itertools.accumulate(reversed(row))]
+        counts.append(row[-1])
+    return counts

@@ -7,9 +7,11 @@ claims module can cross-validate them:
   checked against the x/(e^x-1) series, whose expansion forces the
   convention where index 1 gives -1/2.
 * Tangent numbers: one integer-only prefix, the Knuth-Buckholtz
-  recurrence of :func:`tangents`, checked against three named routes: the
-  Bernoulli formula, the tanh series, and the up-down permutation count
-  of :func:`excedance.permutations.count_alternating`.
+  recurrence of :func:`tangents`, checked against three route prefixes
+  that never read it: the Bernoulli formula of
+  :func:`tangents_by_bernoulli`, the tanh series of
+  :func:`tangents_by_tanh`, and the up-down permutation counts of
+  :func:`excedance.permutations.alternating_counts`.
 * Genocchi numbers: read from the tangent prefix by
   G_2k = (-1)^k k T_(2k-1) / 4^(k-1), checked against the exponential
   coefficients of 2x/(e^x+1).
@@ -17,13 +19,12 @@ claims module can cross-validate them:
   checked against the Eulerian rows of :mod:`excedance.permutations`
   folded at t = -1.
 
-Each sequence has one public prefix function that computes its first
-``count`` values from scratch; the one scalar, :func:`bernoulli`, reads
-its index from :func:`bernoullis` for the Bernoulli route to the tangent
-numbers.  Nothing is kept between calls.  Everything is exact: the
-rational routes return their raw fractions, whose denominators the claims
-check, and the one integer division, in :func:`genocchis`, raises on a
-non-zero remainder, so a convention slip fails loudly instead of rounding.
+Each sequence and each tangent route is one public prefix function that
+computes its first ``count`` values from scratch; nothing is kept between
+calls.  Everything is exact: the rational routes return their raw
+fractions, whose denominators the claims check, and the one integer
+division, in :func:`genocchis`, raises on a non-zero remainder, so a
+convention slip fails loudly instead of rounding.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from fractions import Fraction
 from .exact import binomial
 
 __all__ = [
-    "bernoullis", "bernoulli",
-    "tangents", "tangent_bernoulli_value", "tangent_series_value",
+    "bernoullis",
+    "tangents", "tangents_by_bernoulli", "tangents_by_tanh",
     "genocchis",
     "alternating_sums",
 ]
@@ -68,48 +69,35 @@ def bernoullis(count: int) -> list[Fraction]:
     return values
 
 
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number at index n, convention index-1 = -1/2, from the
-    defining recurrence sum_{j=0..n} C(n+1, j) B_j = 0 with B_0 = 1.
+def tangents_by_bernoulli(count: int) -> list[Fraction]:
+    """T(1), T(3), ..., T(2*count-1) as raw rationals, from one Bernoulli
+    prefix: T(2n-1) = (-1)^(n-1) 4^n (4^n - 1) / (2n) * B_(2n).
 
-    >>> bernoulli(0)
-    Fraction(1, 1)
-    >>> bernoulli(1)
-    Fraction(-1, 2)
-    >>> bernoulli(2)
-    Fraction(1, 6)
+    >>> [str(t) for t in tangents_by_bernoulli(4)]
+    ['1', '2', '16', '272']
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    return bernoullis(n + 1)[n]
+    _require_count(count)
+    b = bernoullis(2 * count + 1)
+    return [
+        Fraction((-1) ** (n - 1) * 4**n * (4**n - 1), 2 * n) * b[2 * n]
+        for n in range(1, count + 1)
+    ]
 
 
-def _require_odd(m: int) -> int:
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"tangent numbers live at odd indices >= 1, got {m}")
-    return (m + 1) // 2
+def tangents_by_tanh(count: int) -> list[Fraction]:
+    """T(1), T(3), ..., T(2*count-1) as raw rationals, from one tanh
+    series: T(2n+1) = (-1)^n (2n+1)! [x^(2n+1)] tanh x.
 
-
-def tangent_bernoulli_value(m: int) -> Fraction:
-    """Raw rational for the tangent number at odd index m = 2n-1:
-    (-1)^(n-1) * 2^(2n) (2^(2n) - 1) / (2n) * B_(2n).
-
-    The division is exact rational arithmetic; integrality is not asserted
-    here, so the claims module can inspect the denominator directly.
+    >>> [str(t) for t in tangents_by_tanh(4)]
+    ['1', '2', '16', '272']
     """
-    n = _require_odd(m)
-    sign = -1 if n % 2 == 0 else 1
-    return Fraction(sign * 2 ** (2 * n) * (2 ** (2 * n) - 1), 2 * n) * bernoulli(2 * n)
-
-
-def tangent_series_value(m: int) -> Fraction:
-    """Raw rational for the tangent number at odd index m, extracted from
-    tanh: (-1)^((m-1)/2) * m! * [x^m] tanh x."""
     # Only this series route imports series, so seq never loads it.
     from .series import egf_coeff, tanh_series
-    _require_odd(m)
-    sign = -1 if ((m - 1) // 2) % 2 else 1
-    return sign * egf_coeff(tanh_series(m), m)
+    _require_count(count)
+    if not count:
+        return []
+    tanh = tanh_series(2 * count - 1)
+    return [(-1) ** n * egf_coeff(tanh, 2 * n + 1) for n in range(count)]
 
 
 def tangents(count: int) -> list[int]:

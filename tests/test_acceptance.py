@@ -15,7 +15,7 @@ from pathlib import Path
 
 from excedance.claims import verify_all
 from excedance.permutations import (
-    count_alternating,
+    alternating_counts,
     enumerate_permutations,
     eulerian_rows,
     excedance_count,
@@ -23,9 +23,9 @@ from excedance.permutations import (
 )
 from excedance.sequences import (
     alternating_sums,
-    tangent_bernoulli_value,
-    tangent_series_value,
     tangents,
+    tangents_by_bernoulli,
+    tangents_by_tanh,
 )
 from excedance.series import (
     constant_series,
@@ -79,10 +79,9 @@ def test_criterion_2_alternating_sum_closed_form_equals_bruteforce():
 
 
 def test_criterion_3_tangent_triple_route_agreement():
-    for m, i in zip(range(1, 26, 2), tangents(13)):
-        b = tangent_bernoulli_value(m)
-        s = tangent_series_value(m)
-        c = count_alternating(m)
+    routes = zip(range(1, 26, 2), tangents(13), tangents_by_bernoulli(13), tangents_by_tanh(13),
+                 alternating_counts(26)[1::2], strict=True)
+    for m, i, b, s, c in routes:
         assert i == b == s == c, f"routes disagree at m={m}: {i}, {b}, {s}, {c}"
     _report(3, "tangent routes agree: all four to index 25")
 
@@ -98,9 +97,10 @@ def test_criterion_4_series_identities():
 
 
 def test_criterion_5_integrality_of_rational_intermediates():
-    for m in range(1, 26, 2):
-        assert tangent_bernoulli_value(m).denominator == 1, f"T({m}) bernoulli route"
-        assert tangent_series_value(m).denominator == 1, f"T({m}) series route"
+    routes = zip(range(1, 26, 2), tangents_by_bernoulli(13), tangents_by_tanh(13), strict=True)
+    for m, b, s in routes:
+        assert b.denominator == 1, f"T({m}) bernoulli route"
+        assert s.denominator == 1, f"T({m}) series route"
     g = genocchi_series(16)
     for n in range(1, 17):
         assert egf_coeff(g, n).denominator == 1, f"G({n})"

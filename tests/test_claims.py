@@ -6,7 +6,7 @@ import pytest
 from cauchy import in_powers_of_t
 
 import excedance
-from excedance import claims, series
+from excedance import claims, sequences, series
 from excedance.claims import (
     Claim,
     Counterexample,
@@ -129,7 +129,8 @@ def test_a_claim_reads_phi_and_its_tally_rows_once(claim_id, monkeypatch):
 
 
 @pytest.mark.parametrize("claim_id, divisions", [
-    ("C1-egf-standard", 0), ("C3-phi-tanh", 1), ("C13-odd-function", 1),
+    ("C1-egf-standard", 0), ("C3-phi-tanh", 1), ("C6-tangent-bernoulli", 1),
+    ("C13-odd-function", 1),
 ])
 def test_a_claim_divides_each_series_once_at_its_top_order(claim_id, divisions, monkeypatch):
     hi = get_claim(claim_id).hi
@@ -143,6 +144,22 @@ def test_a_claim_divides_each_series_once_at_its_top_order(claim_id, divisions, 
     monkeypatch.setattr(series, "_divide", counting)
     verify_claim(claim_id, hi)
     assert orders == [hi] * divisions
+
+
+@pytest.mark.parametrize("claim_id", ["C6-tangent-bernoulli", "C7-integrality"])
+def test_a_claim_reads_the_bernoulli_prefix_once(claim_id, monkeypatch):
+    # The Bernoulli route is one prefix read at the top of the range, not
+    # one Bernoulli prefix per odd index.
+    calls = []
+    bernoullis = sequences.bernoullis
+
+    def counting(count):
+        calls.append(count)
+        return bernoullis(count)
+
+    monkeypatch.setattr(sequences, "bernoullis", counting)
+    verify_claim(claim_id, get_claim(claim_id).hi)
+    assert len(calls) == 1
 
 
 def test_claims_build_by_keyword_with_defaults():

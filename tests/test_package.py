@@ -25,8 +25,8 @@ def test_package_exports_are_pinned():
     assert sorted(excedance.__all__) == [
         "Claim", "ClaimResult", "Counterexample", "GuardError", "Permutation",
         "Report", "Series", "__version__",
-        "bernoulli", "bernoulli_series", "binomial",
-        "claim_ids", "count_alternating", "egf_coeff", "enumerate_permutations",
+        "alternating_counts", "bernoulli_series", "binomial",
+        "claim_ids", "egf_coeff", "enumerate_permutations",
         "excedance_count", "excedance_distribution", "exp_linear",
         "format_exact", "genocchi_series", "is_alternating_up_down",
         "phi_polynomials", "phi_series", "render_report",

@@ -10,7 +10,7 @@ from excedance.claims import verify_all
 from excedance.permutations import (
     GuardError,
     Permutation,
-    count_alternating,
+    alternating_counts,
     enumerate_permutations,
     eulerian_rows,
     excedance_count,
@@ -137,22 +137,25 @@ def test_alternating_sum_agrees_with_distribution_fold():
 
 
 def test_count_alternating_examples():
-    assert count_alternating(0) == 1
-    assert count_alternating(1) == 1
-    assert count_alternating(3) == 2
-    assert count_alternating(5) == 16
+    assert alternating_counts(0) == []
+    counts = alternating_counts(6)
+    assert counts[0] == 1
+    assert counts[1] == 1
+    assert counts[3] == 2
+    assert counts[5] == 16
 
 
 def test_count_alternating_matches_filtered_enumeration():
+    counts = alternating_counts(10)
     for n in range(0, 10):
         filtered = sum(
             1 for p in enumerate_permutations(n) if is_alternating_up_down(p)
         )
-        assert count_alternating(n) == filtered
+        assert counts[n] == filtered
 
 
 def test_count_alternating_pins_a000111_to_20():
-    assert [count_alternating(n) for n in range(21)] == [
+    assert alternating_counts(21) == [
         1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765,
         22368256, 199360981, 1903757312, 19391512145, 209865342976,
         2404879675441, 29088885112832, 370371188237525,
@@ -160,10 +163,11 @@ def test_count_alternating_pins_a000111_to_20():
 
 
 def test_count_alternating_has_no_length_limit():
-    assert count_alternating(13) == 22368256
-    assert count_alternating(399) == tangents(200)[-1]
+    counts = alternating_counts(400)
+    assert counts[13] == 22368256
+    assert counts[399] == tangents(200)[-1]
     with pytest.raises(ValueError):
-        count_alternating(-1)
+        alternating_counts(-1)
 
 
 def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
@@ -204,9 +208,10 @@ def test_even_length_counts_match_down_up_recount():
             for i in range(len(images) - 1)
         )
 
+    counts = alternating_counts(9)
     for n in (2, 4, 6, 8):
         recount = sum(1 for p in enumerate_permutations(n) if is_down_up(p.images))
-        assert count_alternating(n) == recount
+        assert counts[n] == recount
 
 
 def test_eulerian_poly_bruteforce_values():

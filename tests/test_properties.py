@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excedance.cli import SERIES
-from excedance.permutations import count_alternating, excedance_distribution
-from excedance.sequences import (
-    tangent_bernoulli_value,
-    tangent_series_value,
-    tangents,
-)
+from excedance.permutations import alternating_counts, excedance_distribution
+from excedance.sequences import tangents, tangents_by_bernoulli, tangents_by_tanh
 from excedance.series import (
     Series,
     _divide,
@@ -103,8 +99,9 @@ odd = st.integers(min_value=1, max_value=200).map(lambda k: 2 * k - 1)
 @settings(deadline=None)
 @given(m=odd)
 def test_tangent_routes_agree_wherever_defined(m):
-    value = tangents((m + 1) // 2)[-1]
-    assert value == tangent_bernoulli_value(m)
+    count = (m + 1) // 2
+    value = tangents(count)[-1]
+    assert value == tangents_by_bernoulli(count)[-1]
     if m <= 64:
-        assert value == tangent_series_value(m)
-    assert value == count_alternating(m)
+        assert value == tangents_by_tanh(count)[-1]
+    assert value == alternating_counts(m + 1)[m]

@@ -5,7 +5,7 @@ import pytest
 
 from excedance import claims, sequences, series
 from excedance.permutations import (
-    count_alternating,
+    alternating_counts,
     enumerate_permutations,
     eulerian_rows,
     excedance_count,
@@ -13,12 +13,11 @@ from excedance.permutations import (
 )
 from excedance.sequences import (
     alternating_sums,
-    bernoulli,
     bernoullis,
     genocchis,
-    tangent_bernoulli_value,
-    tangent_series_value,
     tangents,
+    tangents_by_bernoulli,
+    tangents_by_tanh,
 )
 from excedance.series import bernoulli_series, egf_coeff, genocchi_series
 
@@ -64,37 +63,34 @@ def test_eulerian_poly_at_values():
 
 
 def test_bernoulli_values():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(4) == Fraction(-1, 30)
-    assert bernoulli(10) == Fraction(5, 66)
+    b = bernoullis(11)
+    assert b[0] == 1
+    assert b[1] == Fraction(-1, 2)
+    assert b[2] == Fraction(1, 6)
+    assert b[4] == Fraction(-1, 30)
+    assert b[10] == Fraction(5, 66)
 
 
 def test_bernoulli_recurrence_matches_series_to_64():
     b = bernoulli_series(64)
-    for n in range(65):
-        assert bernoulli(n) == egf_coeff(b, n)
+    assert bernoullis(65) == [egf_coeff(b, n) for n in range(65)]
 
 
 def test_bernoulli_odd_indices_vanish():
+    b = bernoullis(22)
     for n in range(3, 22, 2):
-        assert bernoulli(n) == 0
+        assert b[n] == 0
 
 
 def test_tangent_three_routes_agree_to_11():
-    integers = tangents(6)
-    for m in range(1, 12, 2):
-        i = integers[m // 2]
-        b = tangent_bernoulli_value(m)
-        s = tangent_series_value(m)
-        c = count_alternating(m)
+    routes = zip(range(1, 12, 2), tangents(6), tangents_by_bernoulli(6), tangents_by_tanh(6),
+                 alternating_counts(12)[1::2], strict=True)
+    for m, i, b, s, c in routes:
         assert i == b == s == c == TANGENT_KNOWN[m]
 
 
 def test_tangent_two_routes_agree_to_25():
-    for m, value in zip(range(1, 26, 2), tangents(13)):
-        assert value == tangent_bernoulli_value(m) == tangent_series_value(m)
+    assert tangents(13) == tangents_by_bernoulli(13) == tangents_by_tanh(13)
 
 
 def test_tangent_values_positive():
@@ -102,17 +98,13 @@ def test_tangent_values_positive():
 
 
 def test_tangent_rational_intermediates_are_integral():
-    for m in range(1, 26, 2):
-        assert tangent_bernoulli_value(m).denominator == 1
-        assert tangent_series_value(m).denominator == 1
+    for route in (tangents_by_bernoulli, tangents_by_tanh):
+        values = route(13)
+        assert len(values) == 13 and all(v.denominator == 1 for v in values)
 
 
-def test_tangent_rejects_even_index():
-    for route in (tangent_bernoulli_value, tangent_series_value):
-        for m in (4, 0):
-            with pytest.raises(ValueError, match="odd indices"):
-                route(m)
-    assert count_alternating(13) == tangents(7)[-1] == 22368256
+def test_tangent_and_counting_routes_agree_at_13():
+    assert alternating_counts(14)[13] == tangents(7)[-1] == 22368256
 
 
 def test_genocchis_match_bernoulli_to_500():
@@ -179,13 +171,10 @@ def test_sequence_prefix_values_and_indices():
 
 @pytest.mark.parametrize("count", [0, 1, 2, 37])
 def test_sequence_tables_match_their_scalars(count):
-    # Each prefix computes its values at once; the one scalar left,
-    # bernoulli, reads one index of its prefix, and every shorter prefix
-    # is a prefix of a longer one.
-    values = bernoullis(count)
-    assert len(values) == count
-    assert values == [bernoulli(i) for i in range(count)]
-    for prefix in (tangents, genocchis, alternating_sums):
+    # Each prefix, tangent routes included, computes its values at once,
+    # and every shorter prefix is a prefix of a longer one.
+    for prefix in (bernoullis, tangents, tangents_by_bernoulli, tangents_by_tanh,
+                   alternating_counts, genocchis, alternating_sums):
         values = prefix(count)
         assert len(values) == count
         assert prefix(count + 3)[:count] == values
@@ -205,6 +194,7 @@ def test_no_module_level_lists(module):
 def test_sequence_prefixes_reject_a_negative_count():
     # eulerian_rows returns a generator, and refuses on the call itself,
     # before any row is asked for.
-    for prefix in (tangents, bernoullis, genocchis, alternating_sums, eulerian_rows):
+    for prefix in (tangents, bernoullis, genocchis, alternating_sums, eulerian_rows,
+                   tangents_by_bernoulli, tangents_by_tanh, alternating_counts):
         with pytest.raises(ValueError, match="count must be >= 0, got -1"):
             prefix(-1)
