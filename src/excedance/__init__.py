@@ -29,12 +29,10 @@ _EXPORTS = {
         "claims": ("Claim", "ClaimResult", "Counterexample", "Report", "claim_ids",
                    "render_report", "verify_all", "verify_claim"),
         "exact": ("GuardError", "binomial", "format_exact"),
-        "permutations": ("Permutation", "alternating_counts", "enumerate_permutations",
-                         "excedance_count", "excedance_distribution",
-                         "is_alternating_up_down"),
-        "series": ("Series", "bernoulli_series", "egf_coeff", "exp_linear",
-                   "genocchi_series", "phi_polynomials", "phi_series", "series_add",
-                   "tanh_series"),
+        "permutations": ("alternating_counts", "enumerate_permutations", "excedance_count",
+                         "excedance_distribution", "is_alternating_up_down"),
+        "series": ("bernoulli_series", "egf_coeff", "exp_linear", "genocchi_series",
+                   "phi_polynomials", "phi_series", "tanh_series"),
     }.items()
     for name in names
 }

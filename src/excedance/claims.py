@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple
 
-from .exact import DESK_LIMIT, ExactValue, binomial, format_exact, format_table
+from .exact import DESK_LIMIT, binomial, format_exact, format_table
 from .permutations import alternating_counts, eulerian_rows
 from .sequences import (
     alternating_sums,
@@ -56,6 +56,9 @@ __all__ = [
 
 PASS = "PASS"
 FAIL = "FAIL"
+
+# An exact value, as format_exact renders it and counterexamples hold it.
+ExactValue = int | Fraction
 
 # (n, lhs, rhs) triples of exact values produced by a claim evaluator.
 Triples = Iterator[tuple[int, ExactValue, ExactValue]]
@@ -253,8 +256,8 @@ def _eval_egf_shifted(ns: range) -> Triples:
 
 
 def _eval_phi_tanh(ns: range) -> Triples:
-    phi = phi_series(Fraction(-1), ns.stop - 1).coeffs
-    tanh = tanh_series(ns.stop - 1).coeffs
+    phi = phi_series(Fraction(-1), ns.stop - 1)
+    tanh = tanh_series(ns.stop - 1)
     # The constant 1 adds to coefficient 0 only.
     return ((n, phi[n], (n == 0) + tanh[n]) for n in ns)
 
@@ -346,7 +349,7 @@ def _eval_insertion_recurrence(ns: range) -> Triples:
 
 
 def _eval_odd_function(ns: range) -> Triples:
-    tanh = tanh_series(ns.stop - 1).coeffs
+    tanh = tanh_series(ns.stop - 1)
     return ((n, tanh[n], Fraction(0)) for n in ns if n % 2 == 0)
 
 

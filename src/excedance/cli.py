@@ -15,7 +15,6 @@ import argparse
 import importlib
 import re
 import sys
-from fractions import Fraction
 from math import factorial
 
 from . import __version__
@@ -125,7 +124,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise GuardError(f"--t only applies to phi, not {name!r}")
     from .series import egf_coeff, render_series
     series = SERIES[name](order, t)
-    ordinary = [format_exact(c) for c in series.coeffs]
+    ordinary = [format_exact(c) for c in series]
     egf = [format_exact(egf_coeff(series, k)) for k in range(order + 1)]
     if name == "phi":
         label = f"phi(t={format_exact(t)}, order={order})"
@@ -186,6 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _rational_arg(text: str) -> Fraction:
+    from fractions import Fraction
     # Echo a prefix of a text too long for any t within the digit limit.
     shown = repr(text)
     if len(text) > 2 * T_DIGITS_LIMIT + 2:

@@ -4,25 +4,22 @@ Integers are plain Python ints, which are already arbitrary precision and
 round-trip losslessly through decimal strings.  Rationals are
 :class:`fractions.Fraction`, which is eagerly normalized: gcd-reduced
 numerator over a strictly positive denominator, so equality is structural.
-The helpers below pin down the conventions the rest of the package leans
-on, in particular that ``binomial`` is a total function returning 0 outside
-the Pascal triangle (the summation convention used by every recurrence
-here).  The work limits are tabled here too, so each size bound is
-written once.  A limit is applied only where input arrives from outside
-(the command line) or where the work is exponential (the enumeration
-oracle); every polynomial library function takes any size.
+It is imported only where a rational is built, so a command that builds
+none never loads it.  The helpers below pin down the conventions the rest
+of the package leans on, in particular that ``binomial`` is a total
+function returning 0 outside the Pascal triangle (the summation convention
+used by every recurrence here).  The work limits are tabled here too, so
+each size bound is written once.  A limit is applied only where input
+arrives from outside (the command line) or where the work is exponential
+(the enumeration oracle); every polynomial library function takes any
+size.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
-
-# An exact value, as format_exact renders it and claim counterexamples hold it.
-ExactValue = int | Fraction
 
 __all__ = [
-    "ExactValue",
     "GuardError",
     "DESK_LIMIT",
     "ENUMERATION_LIMIT",
@@ -47,7 +44,7 @@ class GuardError(ValueError):
 DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; verify enumerates nothing, 0.07 s
 ENUMERATION_LIMIT = 12  # enumerate_permutations, 7.2 s at 10; CLI dist 12 --force, one row, 0.07 s
 SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.08 s
-SEQ_COUNT_LIMIT = 500  # CLI seq eulerian --count 500, the slowest seq, takes 1.2 s; genocchi 0.09 s
+SEQ_COUNT_LIMIT = 500  # CLI seq eulerian --count 500, the slowest seq, takes 1.5 s; genocchi 0.11 s
 # CLI series phi --t: digits of its numerator and of its denominator.  At order 64
 # the coefficients reach about 64*d + 100 digits, 2100 at 32: 0.11 s, 0.13 s for p/q.
 T_DIGITS_LIMIT = 32
@@ -93,12 +90,13 @@ def as_rational(value: Fraction | int) -> Fraction:
     There is no floating-point mode anywhere in this package, and silently
     taking the binary expansion of a float would be worse than erroring.
     """
+    from fractions import Fraction
     if isinstance(value, float):
         raise TypeError(f"exact arithmetic only: got float {value!r}")
     return Fraction(value)
 
 
-def format_exact(value: ExactValue) -> str:
+def format_exact(value: int | Fraction) -> str:
     """Render an exact value: plain decimal for integers, "p/q" otherwise."""
     return str(value)
 

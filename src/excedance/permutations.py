@@ -11,20 +11,21 @@ steps with no enumeration, which ``seq eulerian``, ``dist`` and the claims
 read.  Up-down permutations of every length below a bound are counted by
 one pass of Seidel's boustrophedon triangle in O(n^2) additions, and the
 tests check the counts against filtered enumeration up to length 9.
-Positions and values are 1-based throughout: a permutation is its one-line
-notation (sigma(1), ..., sigma(n)) and length 0 is the empty permutation,
-which has no excedances and counts as alternating.
+Positions and values are 1-based throughout: a permutation is the tuple of
+its images, its one-line notation (sigma(1), ..., sigma(n)), and length 0
+is the empty permutation, which has no excedances and counts as
+alternating.  The statistics refuse images that are not a bijection on
+{1..n}, since they are read from outside.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exact import ENUMERATION_LIMIT, GuardError, require_within
 
 __all__ = [
     "GuardError",
-    "Permutation",
     "excedance_count",
     "is_alternating_up_down",
     "enumerate_permutations",
@@ -33,92 +34,64 @@ __all__ = [
     "alternating_counts",
 ]
 
-class Permutation:
-    """One-line notation (sigma(1), ..., sigma(n)) over {1..n}.
+def _bijection(images: Sequence[int]) -> Sequence[int]:
+    # Images come from outside, so each statistic checks them first.
+    n = len(images)
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"images {tuple(images)} are not a bijection on {{1..{n}}}")
+    return images
 
-    >>> Permutation((2, 4, 1, 3)).images
-    (2, 4, 1, 3)
-    >>> Permutation((1, 1, 2))
+
+def excedance_count(images: Sequence[int]) -> int:
+    """Number of positions i with sigma(i) > i.
+
+    >>> excedance_count((2, 4, 1, 3))
+    2
+    >>> excedance_count((1, 2, 3))
+    0
+    >>> excedance_count((2, 3, 1))
+    2
+    >>> excedance_count((1, 1, 2))
     Traceback (most recent call last):
         ...
     ValueError: images (1, 1, 2) are not a bijection on {1..3}
     """
-
-    __slots__ = ("images",)
-    images: tuple[int, ...]
-
-    def __init__(self, images) -> None:
-        images = tuple(images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"images {images} are not a bijection on {{1..{n}}}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return self.images == other.images if type(other) is Permutation else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
-
-    def __len__(self) -> int:
-        return len(self.images)
+    return sum(1 for i, v in enumerate(_bijection(images), 1) if v > i)
 
 
-def excedance_count(p: Permutation) -> int:
-    """Number of positions i with sigma(i) > i.
-
-    >>> excedance_count(Permutation((2, 4, 1, 3)))
-    2
-    >>> excedance_count(Permutation((1, 2, 3)))
-    0
-    >>> excedance_count(Permutation((2, 3, 1)))
-    2
-    """
-    return sum(1 for i, v in enumerate(p.images, 1) if v > i)
-
-
-def is_alternating_up_down(p: Permutation) -> bool:
+def is_alternating_up_down(images: Sequence[int]) -> bool:
     """True iff sigma(1) < sigma(2) > sigma(3) < sigma(4) > ...
 
     Lengths 0 and 1 are vacuously alternating.
 
-    >>> is_alternating_up_down(Permutation((1, 3, 2)))
+    >>> is_alternating_up_down((1, 3, 2))
     True
-    >>> is_alternating_up_down(Permutation((1, 2, 3)))
+    >>> is_alternating_up_down((1, 2, 3))
     False
-    >>> is_alternating_up_down(Permutation((2, 3, 1)))
+    >>> is_alternating_up_down((2, 3, 1))
     True
     """
-    images = p.images
+    images = _bijection(images)
     return all(
         images[i] < images[i + 1] if i % 2 == 0 else images[i] > images[i + 1]
         for i in range(len(images) - 1)
     )
 
 
-def enumerate_permutations(n: int) -> Iterator[Permutation]:
+def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every permutation of length n exactly once, lexicographically.
 
-    >>> [p.images for p in enumerate_permutations(0)]
+    >>> list(enumerate_permutations(0))
     [()]
-    >>> [p.images for p in enumerate_permutations(1)]
+    >>> list(enumerate_permutations(1))
     [(1,)]
     >>> first, *_, last = enumerate_permutations(3)
-    >>> first.images, last.images
+    >>> first, last
     ((1, 2, 3), (3, 2, 1))
     """
     require_within("permutation length", n, 0, ENUMERATION_LIMIT)
     # itertools.permutations of a sorted input is lexicographic.
-    return (Permutation(raw) for raw in itertools.permutations(range(1, n + 1)))
+    return itertools.permutations(range(1, n + 1))
 
 
 def eulerian_rows(count: int) -> Iterator[list[int]]:

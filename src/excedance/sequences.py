@@ -22,16 +22,15 @@ claims module can cross-validate them:
 Each sequence and each tangent route is one public prefix function that
 computes its first ``count`` values from scratch; nothing is kept between
 calls.  Everything is exact: the rational routes return their raw
-fractions, whose denominators the claims check, and the one integer
-division, in :func:`genocchis`, raises on a non-zero remainder, so a
-convention slip fails loudly instead of rounding.
+fractions, whose denominators the claims check, and each integer division,
+in :func:`bernoullis` and :func:`genocchis`, raises on a non-zero
+remainder, so a convention slip fails loudly instead of rounding.  Only
+the rational routes import :mod:`fractions`.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-from .exact import binomial
+from operator import add, mul
 
 __all__ = [
     "bernoullis",
@@ -55,18 +54,21 @@ def bernoullis(count: int) -> list[Fraction]:
     >>> bernoullis(0)
     []
     """
+    from fractions import Fraction
     _require_count(count)
-    # Each step sums the nonzero earlier terms as one integer numerator
-    # over the lcm of their denominators and divides once.
-    values = [Fraction(1)][:count]
+    # By von Staudt-Clausen the denominator of each B_m, m < count, divides
+    # scale = lcm(1..count), so the recurrence runs on the integers
+    # scale * B_m, and a non-zero remainder would be a fault, not rounding.
+    scale = math.lcm(*range(1, count + 1))
+    scaled = [scale][:count]
+    row = [1, 1]  # C(m+1, j) for j = 0..m+1, one Pascal step per m
     for m in range(1, count):
-        terms = [(j, b) for j, b in enumerate(values) if b]
-        lcm = math.lcm(*(b.denominator for _, b in terms))
-        acc = sum(
-            binomial(m + 1, j) * b.numerator * (lcm // b.denominator) for j, b in terms
-        )
-        values.append(Fraction(-acc, lcm * (m + 1)))
-    return values
+        row = [1, *map(add, row, row[1:]), 1]
+        value, remainder = divmod(-sum(map(mul, row, scaled)), m + 1)
+        if remainder:
+            raise ArithmeticError(f"bernoulli({m}) is not a multiple of 1/{scale}")
+        scaled.append(value)
+    return [Fraction(b, scale) for b in scaled]
 
 
 def tangents_by_bernoulli(count: int) -> list[Fraction]:
@@ -76,6 +78,7 @@ def tangents_by_bernoulli(count: int) -> list[Fraction]:
     >>> [str(t) for t in tangents_by_bernoulli(4)]
     ['1', '2', '16', '272']
     """
+    from fractions import Fraction
     _require_count(count)
     b = bernoullis(2 * count + 1)
     return [

@@ -1,11 +1,9 @@
 """Truncated power series over exact rationals.
 
-A :class:`Series` stores the ordinary coefficients c[0..N] of a formal
-power series truncated at an explicit order N.  The exponential view
+A series truncated at order N is the tuple of its ordinary coefficients
+c[0..N], so its order is its length less one.  The exponential view
 ``n! * c[n]`` is always derived on demand (:func:`egf_coeff`), never stored,
-so multiplication stays a plain Cauchy product.  Arithmetic between series
-of different orders truncates to the smaller order; precision loss is
-therefore always visible in the result's order.
+so multiplication stays a plain Cauchy product.
 
 The named constructors build the generating functions this package works
 with: e^(a*x), the Eulerian-polynomial generator (t-1)/(t - e^(x(t-1))),
@@ -20,14 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add, sub
 
 from .exact import as_rational, binomial, format_exact
 
 __all__ = [
-    "Series",
-    "constant_series",
-    "series_add",
-    "series_sub",
     "exp_linear",
     "phi_polynomials",
     "phi_series",
@@ -39,54 +34,7 @@ __all__ = [
 ]
 
 
-class Series:
-    """Ordinary coefficients of a power series truncated at ``order``."""
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs) -> None:
-        if not coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in coeffs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return self.coeffs == other.coeffs if type(other) is Series else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __repr__(self) -> str:
-        return f"Series(order={self.order}, {render_series(self)})"
-
-
-def constant_series(value: Fraction | int, order: int) -> Series:
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return Series((as_rational(value),) + (Fraction(0),) * order)
-
-
-def series_add(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    return Series(tuple(a.coeffs[k] + b.coeffs[k] for k in range(n + 1)))
-
-
-def series_sub(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    return Series(tuple(a.coeffs[k] - b.coeffs[k] for k in range(n + 1)))
-
-
-def _divide(num: tuple, den: tuple[Fraction, ...]) -> Series:
+def _divide(num: tuple, den: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     # The quotient num/den truncated at the order of den, solved one
     # coefficient at a time; num reads as zero past its end, and den[0]
     # must be nonzero.
@@ -94,23 +42,23 @@ def _divide(num: tuple, den: tuple[Fraction, ...]) -> Series:
     for k in range(len(den)):
         acc = sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
         out.append(((num[k] if k < len(num) else 0) - acc) / den[0])
-    return Series(out)
+    return tuple(out)
 
 
-def exp_linear(a: Fraction | int, order: int) -> Series:
+def exp_linear(a: Fraction | int, order: int) -> tuple[Fraction, ...]:
     """Truncation of e^(a*x): coefficient of x^k is a^k / k!.
 
-    >>> exp_linear(0, 3).coeffs
+    >>> exp_linear(0, 3)
     (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
-    >>> exp_linear(1, 3).coeffs[3]
+    >>> exp_linear(1, 3)[3]
     Fraction(1, 6)
-    >>> exp_linear(-2, 2).coeffs[2]
+    >>> exp_linear(-2, 2)[2]
     Fraction(2, 1)
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     a = as_rational(a)
-    return Series(tuple(a**k / factorial(k) for k in range(order + 1)))
+    return tuple(a**k / factorial(k) for k in range(order + 1))
 
 
 def phi_polynomials(order: int) -> list[list[int]]:
@@ -139,7 +87,7 @@ def phi_polynomials(order: int) -> list[list[int]]:
     return polys
 
 
-def phi_series(t: Fraction | int, order: int) -> Series:
+def phi_series(t: Fraction | int, order: int) -> tuple[Fraction, ...]:
     """Truncation of (t-1) / (t - e^(x(t-1))) for t != 1.
 
     The denominator has constant term t-1, so the quotient exists exactly
@@ -164,25 +112,26 @@ def phi_series(t: Fraction | int, order: int) -> Series:
         d = len(a) - 1
         value = sum(c * p_powers[j] * q_powers[d - j] for j, c in enumerate(a))
         coeffs.append(Fraction(value, q_powers[d] * factorial(n)))
-    return Series(coeffs)
+    return tuple(coeffs)
 
 
-def tanh_series(order: int) -> Series:
+def tanh_series(order: int) -> tuple[Fraction, ...]:
     """Truncation of tanh x = (e^x - e^-x) / (e^x + e^-x).
 
     All even-index coefficients cancel exactly in the arithmetic; tanh is
     odd, and the suite checks the zeros rather than forcing them.
     """
     up, down = exp_linear(1, order), exp_linear(-1, order)
-    return _divide(series_sub(up, down).coeffs, series_add(up, down).coeffs)
+    return _divide(tuple(map(sub, up, down)), tuple(map(add, up, down)))
 
 
-def genocchi_series(order: int) -> Series:
+def genocchi_series(order: int) -> tuple[Fraction, ...]:
     """Truncation of 2x / (e^x + 1); n! * c[n] is always an integer."""
-    return _divide((0, 2), series_add(exp_linear(1, order), constant_series(1, order)).coeffs)
+    e = exp_linear(1, order)
+    return _divide((0, 2), (e[0] + 1, *e[1:]))
 
 
-def bernoulli_series(order: int) -> Series:
+def bernoulli_series(order: int) -> tuple[Fraction, ...]:
     """Truncation of x / (e^x - 1).
 
     The naive quotient has a denominator with zero constant term, so the x
@@ -195,26 +144,26 @@ def bernoulli_series(order: int) -> Series:
     return _divide((1,), tuple(Fraction(1, factorial(k + 1)) for k in range(order + 1)))
 
 
-def egf_coeff(s: Series, n: int) -> Fraction:
+def egf_coeff(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
     """Exponential coefficient n! * c[n]; errors past the truncation order."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n > s.order:
+    if n >= len(coeffs):
         raise ValueError(
-            f"index {n} exceeds the truncation order {s.order}; "
+            f"index {n} exceeds the truncation order {len(coeffs) - 1}; "
             "rebuild the series with a larger order"
         )
-    return factorial(n) * s.coeffs[n]
+    return factorial(n) * as_rational(coeffs[n])
 
 
-def render_series(s: Series) -> str:
+def render_series(coeffs: tuple[Fraction, ...]) -> str:
     """Plain-text form "c0 + c1*x + c2*x^2 + ..." with rationals as p/q.
 
-    >>> render_series(Series((Fraction(1), Fraction(-1, 2))))
+    >>> render_series((Fraction(1), Fraction(-1, 2)))
     '1 + -1/2*x'
     """
-    parts = [format_exact(s.coeffs[0])]
-    for k in range(1, s.order + 1):
+    parts = [format_exact(coeffs[0])]
+    for k in range(1, len(coeffs)):
         power = "x" if k == 1 else f"x^{k}"
-        parts.append(f"{format_exact(s.coeffs[k])}*{power}")
+        parts.append(f"{format_exact(coeffs[k])}*{power}")
     return " + ".join(parts)

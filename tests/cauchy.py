@@ -5,16 +5,14 @@ s = t - 1 to t, which reads phi's polynomials as excedance tallies."""
 from fractions import Fraction
 
 from excedance.exact import binomial
-from excedance.series import Series
 
 
-def series_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to the smaller order."""
-    n = min(a.order, b.order)
-    return Series(tuple(
-        sum((a.coeffs[j] * b.coeffs[k - j] for j in range(k + 1)), Fraction(0))
-        for k in range(n + 1)
-    ))
+def series_mul(a: tuple, b: tuple) -> tuple:
+    """Cauchy product of two coefficient tuples, truncated to the shorter."""
+    return tuple(
+        sum((a[j] * b[k - j] for j in range(k + 1)), Fraction(0))
+        for k in range(min(len(a), len(b)))
+    )
 
 
 def in_powers_of_t(a: list[int]) -> list[int]:

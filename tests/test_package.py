@@ -23,14 +23,14 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 
 def test_package_exports_are_pinned():
     assert sorted(excedance.__all__) == [
-        "Claim", "ClaimResult", "Counterexample", "GuardError", "Permutation",
-        "Report", "Series", "__version__",
+        "Claim", "ClaimResult", "Counterexample", "GuardError",
+        "Report", "__version__",
         "alternating_counts", "bernoulli_series", "binomial",
         "claim_ids", "egf_coeff", "enumerate_permutations",
         "excedance_count", "excedance_distribution", "exp_linear",
         "format_exact", "genocchi_series", "is_alternating_up_down",
         "phi_polynomials", "phi_series", "render_report",
-        "series_add", "tanh_series", "verify_all", "verify_claim",
+        "tanh_series", "verify_all", "verify_claim",
     ]
     for name in excedance.__all__:
         assert hasattr(excedance, name)
@@ -68,7 +68,7 @@ def test_each_submodule_resolves_on_first_use():
 
 
 def test_cli_import_leaves_slow_modules_unloaded():
-    slow = {"dataclasses", "inspect", "datetime", "json", "excedance.claims",
+    slow = {"dataclasses", "inspect", "datetime", "fractions", "json", "excedance.claims",
             "excedance.permutations", "excedance.sequences", "excedance.series"}
     result = run_fresh(f"import sys, excedance.cli; print(sorted({slow!r} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
@@ -76,13 +76,14 @@ def test_cli_import_leaves_slow_modules_unloaded():
 
 
 @pytest.mark.parametrize("argv, runs, unloaded", [
+    # Only a command that builds a rational loads fractions.
     (["seq", "tangent", "--count", "3"], "sequences",
-     {"excedance.claims", "excedance.series", "json"}),
+     {"excedance.claims", "excedance.series", "fractions", "json"}),
     # The Eulerian rows are the excedance tally, so they live in permutations.
     (["seq", "eulerian", "--count", "3"], "permutations",
-     {"excedance.claims", "excedance.series", "excedance.sequences", "json"}),
+     {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
     (["dist", "5"], "permutations",
-     {"excedance.claims", "excedance.series", "excedance.sequences", "json"}),
+     {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
     (["series", "tanh", "--order", "3"], "series",
      {"excedance.claims", "excedance.permutations", "json"}),
     # Only the JSON metadata reads the clock, so a text report never loads it.
