@@ -4,14 +4,15 @@ sequences attached to them, with a mechanical identity-verification harness.
 Everything is computed over arbitrary-precision integers and normalized
 rationals; there is no floating point anywhere.  The subpackages:
 
-* :mod:`excedance.exact` -- integers, rationals, binomial, work limits.
+* :mod:`excedance.exact` -- work limits, their refusal and the float refusal.
 * :mod:`excedance.series` -- truncated power series and the named
   generating functions (Eulerian, tanh, Genocchi, Bernoulli).
 * :mod:`excedance.permutations` -- statistics, the excedance tally (the
   Eulerian rows) and the exhaustive enumeration oracle.
 * :mod:`excedance.sequences` -- multi-route sequence generators.
 * :mod:`excedance.claims` -- the claim registry and PASS/FAIL verification.
-* :mod:`excedance.cli` -- the ``excedance`` command.
+* :mod:`excedance.cli` -- the ``excedance`` command, the one module that
+  renders results as text or JSON.
 
 Importing the package loads none of them: each export and each submodule
 resolves on first use, so a command loads only the modules it runs.
@@ -26,9 +27,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "claims": ("Claim", "ClaimResult", "Counterexample", "Report", "claim_ids",
-                   "render_report", "verify_all", "verify_claim"),
-        "exact": ("GuardError", "binomial", "format_exact"),
+        "claims": ("Claim", "ClaimResult", "Counterexample", "claim_ids", "verify_all",
+                   "verify_claim"),
+        "exact": ("GuardError",),
         "permutations": ("alternating_counts", "enumerate_permutations", "excedance_count",
                          "excedance_distribution", "is_alternating_up_down"),
         "series": ("bernoulli_series", "egf_coeff", "exp_linear", "genocchi_series",

@@ -11,8 +11,8 @@ at the top of the range; C6 and C7 read each tangent route as one such
 prefix.  Any index where the two sides disagree becomes a counterexample,
 and the verdict is FAIL exactly when at least one counterexample exists.
 A ClaimResult holds its Claim, the top index checked and the
-counterexamples, and derives its verdict from them; only the JSON
-report's metadata adds a timestamp and the package version.
+counterexamples, and derives its verdict from them.  Results are plain
+values; only the command-line interface renders them as text or JSON.
 
 Claims are registered verbatim as asserted in their source text, including
 the ones that are false; the point of the harness is to find that out
@@ -29,9 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import comb
 from typing import Callable, Iterator, NamedTuple
 
-from .exact import DESK_LIMIT, binomial, format_exact, format_table
+from .exact import DESK_LIMIT
 from .permutations import alternating_counts, eulerian_rows
 from .sequences import (
     alternating_sums,
@@ -46,18 +47,15 @@ __all__ = [
     "Claim",
     "Counterexample",
     "ClaimResult",
-    "Report",
     "claim_ids",
     "get_claim",
     "verify_claim",
     "verify_all",
-    "render_report",
 ]
 
 PASS = "PASS"
 FAIL = "FAIL"
 
-# An exact value, as format_exact renders it and counterexamples hold it.
 ExactValue = int | Fraction
 
 # (n, lhs, rhs) triples of exact values produced by a claim evaluator.
@@ -98,9 +96,6 @@ class Counterexample(NamedTuple):
     lhs: ExactValue
     rhs: ExactValue
 
-    def render(self) -> str:
-        return f"n={self.n}: lhs={format_exact(self.lhs)} rhs={format_exact(self.rhs)}"
-
 
 class ClaimResult(NamedTuple):
     """A claim checked on its range up to hi, with every disagreement found."""
@@ -112,11 +107,6 @@ class ClaimResult(NamedTuple):
     @property
     def verdict(self) -> str:
         return FAIL if self.counterexamples else PASS
-
-
-class Report(NamedTuple):
-    max_n: int
-    results: tuple[ClaimResult, ...]
 
 
 def claim_ids() -> tuple[str, ...]:
@@ -148,65 +138,13 @@ def verify_claim(claim_id: str, max_n: int = DESK_LIMIT) -> ClaimResult:
 
 def verify_all(
     max_n: int = DESK_LIMIT, ids: tuple[str, ...] | list[str] | None = None
-) -> Report:
+) -> tuple[ClaimResult, ...]:
     """One result per requested claim, always in registry order."""
     # Looking every id up first surfaces the first unknown one before any work.
     wanted = _REGISTRY.keys() if ids is None else {get_claim(i).id for i in ids}
-    results = tuple(
+    return tuple(
         verify_claim(claim_id, max_n) for claim_id in _REGISTRY if claim_id in wanted
     )
-    return Report(max_n, results)
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def render_report(report: Report, format: str = "text", *, include_meta: bool = True) -> str:
-    """Fixed-width text table or the JSON document with stable keys."""
-    if format == "text":
-        return _render_text(report)
-    if format == "json":
-        return _render_json(report, include_meta=include_meta)
-    raise ValueError(f"format must be 'text' or 'json', got {format!r}")
-
-
-def _render_text(report: Report) -> str:
-    header = ("id", "paper_ref", "range", "verdict", "first_counterexample")
-    rows = []
-    for r in report.results:
-        first = r.counterexamples[0].render() if r.counterexamples else "-"
-        rows.append((r.claim.id, r.claim.paper_ref, f"[{r.claim.lo},{r.hi}]", r.verdict, first))
-    return format_table(header, rows)
-
-
-def _render_json(report: Report, *, include_meta: bool) -> str:
-    import json
-    doc: dict = {"max_n": report.max_n}
-    doc["results"] = [
-        {
-            "id": r.claim.id,
-            "paper_ref": r.claim.paper_ref,
-            "verdict": r.verdict,
-            "range": [r.claim.lo, r.hi],
-            "counterexamples": [
-                {"n": c.n, "lhs": format_exact(c.lhs), "rhs": format_exact(c.rhs)}
-                for c in r.counterexamples
-            ],
-            "notes": r.claim.notes,
-        }
-        for r in report.results
-    ]
-    if include_meta:
-        # Imported here: only this metadata reads the clock, so text and
-        # --no-meta runs never load datetime.
-        from datetime import datetime, timezone
-
-        from . import __version__
-
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        doc["meta"] = {"timestamp": timestamp, "version": __version__}
-    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +178,7 @@ def _eval_egf_standard(ns: range) -> Triples:
     tallies = _tallies(ns.stop)
     for n in ns:
         tally = tallies[n]
-        row = [sum(binomial(i, j) * c for i, c in enumerate(tally)) for j in range(len(tally))]
+        row = [sum(comb(i, j) * c for i, c in enumerate(tally)) for j in range(len(tally))]
         for lhs, rhs in zip_longest(polys[n], row, fillvalue=0):
             yield n, lhs, rhs
 
@@ -310,7 +248,7 @@ def _eval_genocchi_recurrence(ns: range) -> Triples:
     # own earlier values, never the series.  Index 0 is an empty sum, 0.
     claimed = [0, 1]
     for m in range(2, ns.stop):
-        claimed.append(-sum(binomial(m, k) * claimed[k] for k in range(1, m)))
+        claimed.append(-sum(comb(m, k) * claimed[k] for k in range(1, m)))
     g = genocchis(ns.stop - 1)  # G(1) .. G(ns.stop - 1)
     return ((n, claimed[n], g[n - 1]) for n in ns)
 
@@ -335,7 +273,7 @@ def _eval_signed_recurrence(ns: range) -> Triples:
     tally_sums = _tally_sums(ns.stop)
     for n in ns:
         lhs = sum(
-            (-1) ** _sign_exponent(n, k) * binomial(n + 1, k) * sums[k] for k in range(1, n)
+            (-1) ** _sign_exponent(n, k) * comb(n + 1, k) * sums[k] for k in range(1, n)
         )
         yield n, lhs, tally_sums[n]
 
@@ -344,7 +282,7 @@ def _eval_insertion_recurrence(ns: range) -> Triples:
     sums = alternating_sums(ns.stop)
     tally_sums = _tally_sums(ns.stop + 1)
     for n in ns:
-        lhs = sum((-1) ** k * binomial(n, k) * sums[k] for k in range(n + 1))
+        lhs = sum((-1) ** k * comb(n, k) * sums[k] for k in range(n + 1))
         yield n, lhs, tally_sums[n + 1]
 
 

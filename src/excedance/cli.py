@@ -1,5 +1,6 @@
 """Command-line surface: sequence dumps, excedance distribution tables,
-series printing, and the claim verification report.
+series printing, and the claim verification report.  This is the one
+module that turns results into text or JSON; the library returns values.
 
 Exit codes: 0 on success (for ``verify``: every verdict matches its
 expectation), 1 when ``verify`` finds an unexpected verdict or, under
@@ -15,6 +16,7 @@ import argparse
 import importlib
 import re
 import sys
+from collections.abc import Sequence
 from math import factorial
 
 from . import __version__
@@ -25,10 +27,23 @@ from .exact import (
     SERIES_ORDER_LIMIT,
     T_DIGITS_LIMIT,
     GuardError,
-    format_exact,
-    format_table,
     require_within,
 )
+
+
+def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, each line right-stripped.
+
+    >>> print(_format_table(("k", "count"), [("0", "1"), ("1", "4083")]))
+    k  count
+    0  1
+    1  4083
+    """
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in (header, *rows)
+    )
 
 
 def _module(name: str):
@@ -63,7 +78,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if name == "eulerian":
         key, items = "rows", ([str(v) for v in row] for row in values)
     else:
-        key, items = "values", (format_exact(v) for v in values)
+        key, items = "values", map(str, values)
     if args.format == "json":
         import json
         # Item by item, the bytes json.dumps(..., indent=2) would give for
@@ -100,7 +115,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(format_table(("k", "count"), [(str(k), str(c)) for k, c in enumerate(tally)]))
+        print(_format_table(("k", "count"), [(str(k), str(c)) for k, c in enumerate(tally)]))
         if total == n_factorial:
             print(f"sum = {total} = {n}!")
         else:
@@ -122,30 +137,31 @@ def cmd_series(args: argparse.Namespace) -> int:
             )
     elif t is not None:
         raise GuardError(f"--t only applies to phi, not {name!r}")
-    from .series import egf_coeff, render_series
+    from .series import egf_coeff
     series = SERIES[name](order, t)
-    ordinary = [format_exact(c) for c in series]
-    egf = [format_exact(egf_coeff(series, k)) for k in range(order + 1)]
+    ordinary = [str(c) for c in series]
+    egf = [str(egf_coeff(series, k)) for k in range(order + 1)]
     if name == "phi":
-        label = f"phi(t={format_exact(t)}, order={order})"
+        label = f"phi(t={t}, order={order})"
     else:
         label = f"{name}(order={order})"
     if args.format == "json":
         import json
         doc: dict = {"name": name}
         if name == "phi":
-            doc["t"] = format_exact(t)
+            doc["t"] = str(t)
         doc.update({"order": order, "coeffs": ordinary, "egf": egf})
         print(json.dumps(doc, indent=2))
     else:
-        print(f"{label} = {render_series(series)}")
+        powers = ("", "*x", *(f"*x^{k}" for k in range(2, order + 1)))
+        print(f"{label} = " + " + ".join(c + power for c, power in zip(ordinary, powers)))
         rows = [(str(k), ordinary[k], egf[k]) for k in range(order + 1)]
-        print(format_table(("n", "[x^n]", "n!*[x^n]"), rows))
+        print(_format_table(("n", "[x^n]", "n!*[x^n]"), rows))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .claims import FAIL, get_claim, render_report, verify_all
+    from .claims import FAIL, get_claim, verify_all
     if args.max_n > DESK_LIMIT and not args.force:
         raise GuardError(
             f"max_n={args.max_n} exceeds the default verification cap {DESK_LIMIT} "
@@ -165,13 +181,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise GuardError(exc.args[0]) from None
     if args.max_n < 0:
         raise GuardError(f"max_n must be >= 0, got {args.max_n}")
-    report = verify_all(args.max_n, ids)
-    print(render_report(report, args.format, include_meta=not args.no_meta))
-    any_fail = any(r.verdict == FAIL for r in report.results)
+    results = verify_all(args.max_n, ids)
+    if args.format == "json":
+        import json
+        doc: dict = {"max_n": args.max_n, "results": [
+            {
+                "id": r.claim.id,
+                "paper_ref": r.claim.paper_ref,
+                "verdict": r.verdict,
+                "range": [r.claim.lo, r.hi],
+                "counterexamples": [
+                    {"n": c.n, "lhs": str(c.lhs), "rhs": str(c.rhs)} for c in r.counterexamples
+                ],
+                "notes": r.claim.notes,
+            }
+            for r in results
+        ]}
+        if not args.no_meta:
+            # Imported here: only this metadata reads the clock, so text and
+            # --no-meta runs never load datetime.
+            from datetime import datetime, timezone
+            timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            doc["meta"] = {"timestamp": timestamp, "version": __version__}
+        print(json.dumps(doc, indent=2))
+    else:
+        header = ("id", "paper_ref", "range", "verdict", "first_counterexample")
+        print(_format_table(header, [
+            (r.claim.id, r.claim.paper_ref, f"[{r.claim.lo},{r.hi}]", r.verdict,
+             "n={}: lhs={} rhs={}".format(*r.counterexamples[0]) if r.counterexamples else "-")
+            for r in results
+        ]))
+    any_fail = any(r.verdict == FAIL for r in results)
     unexpected = [
-        r.claim.id
-        for r in report.results
-        if r.verdict != r.claim.expected_verdict(args.max_n)
+        r.claim.id for r in results if r.verdict != r.claim.expected_verdict(args.max_n)
     ]
     if args.strict and any_fail:
         return 1

@@ -35,7 +35,10 @@ __all__ = [
 ]
 
 def _bijection(images: Sequence[int]) -> Sequence[int]:
-    # Images come from outside, so each statistic checks them first.
+    # Images come from outside, so each statistic checks them first; 2.0 == 2,
+    # so a float image would pass the bijection test unless refused here.
+    if not all(isinstance(v, int) for v in images):
+        raise TypeError(f"images {tuple(images)} must all be ints")
     n = len(images)
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError(f"images {tuple(images)} are not a bijection on {{1..{n}}}")

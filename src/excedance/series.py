@@ -17,10 +17,10 @@ from one series at the top order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import add, sub
 
-from .exact import as_rational, binomial, format_exact
+from .exact import as_rational
 
 __all__ = [
     "exp_linear",
@@ -30,7 +30,6 @@ __all__ = [
     "genocchi_series",
     "bernoulli_series",
     "egf_coeff",
-    "render_series",
 ]
 
 
@@ -79,7 +78,7 @@ def phi_polynomials(order: int) -> list[list[int]]:
     for n in range(1, order + 1):
         a = [0] * n
         for k in range(1, n + 1):
-            c = binomial(n, k)
+            c = comb(n, k)
             # Multiplying by s^(k-1) shifts the coefficients k-1 places up.
             for j, coeff in enumerate(polys[n - k], k - 1):
                 a[j] += c * coeff
@@ -155,15 +154,3 @@ def egf_coeff(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
         )
     return factorial(n) * as_rational(coeffs[n])
 
-
-def render_series(coeffs: tuple[Fraction, ...]) -> str:
-    """Plain-text form "c0 + c1*x + c2*x^2 + ..." with rationals as p/q.
-
-    >>> render_series((Fraction(1), Fraction(-1, 2)))
-    '1 + -1/2*x'
-    """
-    parts = [format_exact(coeffs[0])]
-    for k in range(1, len(coeffs)):
-        power = "x" if k == 1 else f"x^{k}"
-        parts.append(f"{format_exact(coeffs[k])}*{power}")
-    return " + ".join(parts)

@@ -3,8 +3,7 @@ own route: the Cauchy product of two truncated series, which checks series
 division without any division of its own, and the change of variable from
 s = t - 1 to t, which reads phi's polynomials as excedance tallies."""
 from fractions import Fraction
-
-from excedance.exact import binomial
+from math import comb
 
 
 def series_mul(a: tuple, b: tuple) -> tuple:
@@ -18,5 +17,5 @@ def series_mul(a: tuple, b: tuple) -> tuple:
 def in_powers_of_t(a: list[int]) -> list[int]:
     """Integer coefficients of a(t - 1) in t, from those of a(s) in s:
     s^j = (t - 1)^j gives C(j, i) (-1)^(j-i) to t^i for each i <= j."""
-    return [sum(binomial(j, i) * (-1) ** (j - i) * a[j] for j in range(i, len(a)))
+    return [sum(comb(j, i) * (-1) ** (j - i) * a[j] for j in range(i, len(a)))
             for i in range(len(a))]

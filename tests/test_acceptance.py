@@ -145,8 +145,7 @@ def test_criterion_6_claims_verdict_table():
 
 
 def test_criterion_6b_library_verdicts_match_cli():
-    report = verify_all(8)
-    for result in report.results:
+    for result in verify_all(8):
         assert result.verdict == EXPECTED_VERDICTS[result.claim.id], result.claim.id
         assert result.verdict == result.claim.expected_verdict(8)
     _report(6, "library route reproduces the same verdict table in-process")

@@ -1,22 +1,21 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from cauchy import in_powers_of_t
 
 import excedance
-from excedance import claims, sequences, series
+from excedance import claims, cli, sequences, series
 from excedance.claims import (
     Claim,
     Counterexample,
     claim_ids,
     get_claim,
-    render_report,
     verify_all,
     verify_claim,
 )
-from excedance.exact import binomial
 from excedance.permutations import enumerate_permutations, excedance_count
 from excedance.series import phi_polynomials
 
@@ -73,7 +72,7 @@ def test_phi_polynomials_are_frobenius_and_the_enumerated_tally():
     # which counts the surjections of n onto n - j; read in powers of t it
     # is the tally of the enumeration oracle, in integers only.
     def surjections(n, k):
-        return sum((-1) ** i * binomial(k, i) * (k - i) ** n for i in range(k + 1))
+        return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
 
     for n, a in enumerate(phi_polynomials(8)):
         size = max(n, 1)
@@ -173,14 +172,13 @@ def test_claims_build_by_keyword_with_defaults():
 
 
 def test_verdict_table_at_default_bound():
-    report = verify_all(8)
-    assert len(report.results) == 13
-    assert {r.claim.id: r.verdict for r in report.results} == EXPECTED_AT_8
+    results = verify_all(8)
+    assert len(results) == 13
+    assert {r.claim.id: r.verdict for r in results} == EXPECTED_AT_8
 
 
 def test_first_counterexamples_are_the_documented_ones():
-    report = verify_all(8)
-    by_id = {r.claim.id: r for r in report.results}
+    by_id = {r.claim.id: r for r in verify_all(8)}
     for claim_id, (n, lhs, rhs) in FIRST_COUNTEREXAMPLES.items():
         first = by_id[claim_id].counterexamples[0]
         assert (first.n, first.lhs, first.rhs) == (n, lhs, rhs), claim_id
@@ -190,7 +188,7 @@ def test_first_counterexamples_are_the_documented_ones():
 
 
 def test_fail_verdict_iff_counterexamples():
-    for result in verify_all(8).results:
+    for result in verify_all(8):
         assert (result.verdict == "FAIL") == bool(result.counterexamples)
 
 
@@ -205,9 +203,9 @@ def test_expected_verdicts_depend_on_bound():
 
 
 def test_everything_passes_at_bound_zero():
-    report = verify_all(0)
-    assert len(report.results) == 13
-    for result in report.results:
+    results = verify_all(0)
+    assert len(results) == 13
+    for result in results:
         assert result.verdict == "PASS"
         assert result.counterexamples == ()
 
@@ -241,25 +239,19 @@ def test_unknown_claim_and_guard_errors():
 
 
 def test_forced_full_ranges_keep_expected_verdicts():
-    report = verify_all(13)
-    for result in report.results:
+    for result in verify_all(13):
         claim = result.claim
         assert result.verdict == claim.expected_verdict(13)
         assert result.hi == min(claim.hi, 13)
 
 
 def test_reports_are_deterministic():
-    a = verify_all(8)
-    b = verify_all(8)
-    assert a.results == b.results
-    assert render_report(a, "json", include_meta=False) == render_report(
-        b, "json", include_meta=False
-    )
+    assert verify_all(8) == verify_all(8)
 
 
 def test_subset_requests_preserve_registry_order():
-    report = verify_all(8, ids=["C8-genocchi-relation", "C2-egf-shifted"])
-    assert [r.claim.id for r in report.results] == [
+    results = verify_all(8, ids=["C8-genocchi-relation", "C2-egf-shifted"])
+    assert [r.claim.id for r in results] == [
         "C2-egf-shifted",
         "C8-genocchi-relation",
     ]
@@ -267,37 +259,9 @@ def test_subset_requests_preserve_registry_order():
         verify_all(8, ids=["C2-egf-shifted", "C99-nope"])
 
 
-def test_text_rendering():
-    report = verify_all(8)
-    text = render_report(report, "text")
-    lines = text.splitlines()
-    assert lines[0].split() == ["id", "paper_ref", "range", "verdict", "first_counterexample"]
-    assert len(lines) == 14
-    c8_line = next(line for line in lines if line.startswith("C8-genocchi-relation"))
-    assert "FAIL" in c8_line
-    assert "n=3: lhs=-2 rhs=1" in c8_line
-    c5_line = next(line for line in lines if line.startswith("C5-parity"))
-    assert "PASS" in c5_line and c5_line.rstrip().endswith("-")
-
-
-def test_text_rendering_edge_reports():
-    from excedance.claims import Report
-
-    empty = Report(max_n=8, results=())
-    assert render_report(empty, "text").splitlines() == [
-        "id  paper_ref  range  verdict  first_counterexample"
-    ]
-    single = Report(max_n=8, results=(verify_claim("C5-parity", 8),))
-    lines = render_report(single, "text").splitlines()
-    assert len(lines) == 2 and "PASS" in lines[1]
-    assert render_report(empty, "json", include_meta=False) == json.dumps(
-        {"max_n": 8, "results": []}, indent=2
-    )
-
-
-def test_json_rendering_schema():
-    report = verify_all(8)
-    doc = json.loads(render_report(report, "json", include_meta=False))
+def test_json_rendering_schema(capsys):
+    assert cli.main(["verify", "--max-n", "8", "--format", "json", "--no-meta"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert list(doc) == ["max_n", "results"]
     assert doc["max_n"] == 8
     assert len(doc["results"]) == 13
@@ -317,18 +281,13 @@ def test_json_rendering_schema():
     assert {"n": 1, "lhs": "1", "rhs": "1/2"} in c2["counterexamples"]
 
 
-def test_json_meta_block():
-    report = verify_all(0)
-    doc = json.loads(render_report(report, "json"))
+def test_json_meta_block(capsys):
+    assert cli.main(["verify", "--max-n", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert list(doc) == ["max_n", "results", "meta"]
     assert set(doc["meta"]) == {"timestamp", "version"}
     assert doc["meta"]["version"] == excedance.__version__
     assert doc["meta"]["timestamp"].endswith("+00:00")
-
-
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        render_report(verify_all(0), "yaml")
 
 
 def test_exact_values_in_counterexamples():

@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from excedance import exact, permutations, sequences, series
+from excedance import cli, exact, permutations, sequences, series
 
 
-@pytest.mark.parametrize("module", [exact, series, permutations, sequences],
+@pytest.mark.parametrize("module", [cli, exact, series, permutations, sequences],
                          ids=lambda m: m.__name__)
 def test_module_doctests(module):
     failures, attempted = doctest.testmod(module)

@@ -1,28 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
-from excedance.exact import binomial, format_exact
-
-
-@pytest.mark.parametrize(
-    "n, k, expected",
-    [(4, 2, 6), (7, 0, 1), (3, 5, 0), (3, -1, 0), (0, 0, 1), (10, 10, 1)],
-)
-def test_binomial_values(n, k, expected):
-    assert binomial(n, k) == expected
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
-
-
-def test_binomial_pascal_rule_up_to_30():
-    for n in range(1, 31):
-        for k in range(0, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
 
 def test_field_axioms_hold_structurally():
     values = [Fraction(p, q) for p in range(-3, 4) for q in range(1, 4)]
@@ -55,9 +32,3 @@ def test_integer_decimal_roundtrip_to_1000_digits():
     text = "9" * 1000
     assert str(int(text)) == text
 
-
-def test_parse_and_format_roundtrip():
-    for text in ("0", "7", "-13", "1/2", "-17/315", "2432902008176640000"):
-        assert format_exact(Fraction(text)) == text
-    assert format_exact(Fraction(6, 3)) == "2"
-    assert format_exact(13) == "13"

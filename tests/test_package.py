@@ -23,14 +23,11 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 
 def test_package_exports_are_pinned():
     assert sorted(excedance.__all__) == [
-        "Claim", "ClaimResult", "Counterexample", "GuardError",
-        "Report", "__version__",
-        "alternating_counts", "bernoulli_series", "binomial",
-        "claim_ids", "egf_coeff", "enumerate_permutations",
-        "excedance_count", "excedance_distribution", "exp_linear",
-        "format_exact", "genocchi_series", "is_alternating_up_down",
-        "phi_polynomials", "phi_series", "render_report",
-        "tanh_series", "verify_all", "verify_claim",
+        "Claim", "ClaimResult", "Counterexample", "GuardError", "__version__",
+        "alternating_counts", "bernoulli_series", "claim_ids", "egf_coeff",
+        "enumerate_permutations", "excedance_count", "excedance_distribution",
+        "exp_linear", "genocchi_series", "is_alternating_up_down",
+        "phi_polynomials", "phi_series", "tanh_series", "verify_all", "verify_claim",
     ]
     for name in excedance.__all__:
         assert hasattr(excedance, name)

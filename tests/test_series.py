@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from cauchy import series_mul
 
+from excedance import cli
 from excedance.series import (
     _divide,
     bernoulli_series,
@@ -12,9 +13,9 @@ from excedance.series import (
     exp_linear,
     genocchi_series,
     phi_series,
-    render_series,
     tanh_series,
 )
+from excedance.permutations import excedance_count, is_alternating_up_down
 
 
 def S(*coeffs):
@@ -197,10 +198,15 @@ def test_egf_coeff_examples_and_bounds():
         egf_coeff(e, -1)
 
 
-def test_render_series_plain_text():
-    assert render_series(S(1, -1)) == "1 + -1*x"
-    assert render_series(tanh_series(3)) == "0 + 1*x + 0*x^2 + -1/3*x^3"
-    assert render_series(constant(Fraction(1, 2), 0)) == "1/2"
+def test_render_series_plain_text(capsys):
+    # The constant term has no power of x, and x^1 is written x.
+    for argv, first in (
+        (["tanh", "--order", "3"], "tanh(order=3) = 0 + 1*x + 0*x^2 + -1/3*x^3"),
+        (["bernoulli", "--order", "1"], "bernoulli(order=1) = 1 + -1/2*x"),
+        (["bernoulli", "--order", "0"], "bernoulli(order=0) = 1"),
+    ):
+        assert cli.main(["series", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == first
 
 
 def test_floats_are_refused_everywhere():
@@ -210,6 +216,10 @@ def test_floats_are_refused_everywhere():
         exp_linear(0.5, 3)
     with pytest.raises(TypeError):
         phi_series(0.5, 3)
+    with pytest.raises(TypeError):
+        excedance_count((2.0, 1.0))
+    with pytest.raises(TypeError):
+        is_alternating_up_down((1.0, 3.0, 2.0))
 
 
 def test_series_are_rebuilt_unchanged_after_other_points():
