@@ -8,8 +8,9 @@ its polynomials and tanh from a series division, so C3 compares two
 independent routes.  A claim is evaluated over its whole finite index
 range at once, so each series, prefix and tally it reads is computed once,
 at the top of the range; C6 and C7 read each tangent route as one such
-prefix.  Any index where the two sides disagree becomes a counterexample,
-and the verdict is FAIL exactly when at least one counterexample exists.
+prefix, and C7 checks the Genocchi series at every index of its range.
+Any index where the two sides disagree becomes a counterexample, and the
+verdict is FAIL exactly when at least one counterexample exists.
 A ClaimResult holds its Claim, the top index checked and the
 counterexamples, and derives its verdict from them.  Results are plain
 values; only the command-line interface renders them as text or JSON.
@@ -226,13 +227,12 @@ def _eval_tangent_routes(ns: range) -> Triples:
 def _eval_integrality(ns: range) -> Triples:
     count = ns.stop // 2
     rational_routes = (tangents_by_bernoulli(count), tangents_by_tanh(count))
-    genocchi = genocchi_series(min(ns.stop - 1, 16))
+    genocchi = genocchi_series(ns.stop - 1)
     for n in ns:
         if n % 2:
             for route in rational_routes:
                 yield n, route[n // 2].denominator, 1
-        if n <= 16:
-            yield n, egf_coeff(genocchi, n).denominator, 1
+        yield n, egf_coeff(genocchi, n).denominator, 1
 
 
 def _eval_genocchi_relation(ns: range) -> Triples:

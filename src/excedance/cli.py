@@ -161,12 +161,14 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .claims import FAIL, get_claim, verify_all
     if args.max_n > DESK_LIMIT and not args.force:
         raise GuardError(
             f"max_n={args.max_n} exceeds the default verification cap {DESK_LIMIT} "
             "(DESK_LIMIT); pass --force to go higher"
         )
+    if args.max_n < 0:
+        raise GuardError(f"max_n must be >= 0, got {args.max_n}")
+    from .claims import FAIL, get_claim, verify_all
     if args.claims.strip() == "all":
         ids = None
     else:
@@ -179,8 +181,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 get_claim(claim_id)
             except LookupError as exc:
                 raise GuardError(exc.args[0]) from None
-    if args.max_n < 0:
-        raise GuardError(f"max_n must be >= 0, got {args.max_n}")
     results = verify_all(args.max_n, ids)
     if args.format == "json":
         import json
@@ -198,10 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for r in results
         ]}
         if not args.no_meta:
-            # Imported here: only this metadata reads the clock, so text and
-            # --no-meta runs never load datetime.
-            from datetime import datetime, timezone
-            timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            import time
+            timestamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
             doc["meta"] = {"timestamp": timestamp, "version": __version__}
         print(json.dumps(doc, indent=2))
     else:

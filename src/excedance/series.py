@@ -17,7 +17,7 @@ from one series at the top order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add, sub
 
 from .exact import as_rational
@@ -36,11 +36,21 @@ __all__ = [
 def _divide(num: tuple, den: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     # The quotient num/den truncated at the order of den, solved one
     # coefficient at a time; num reads as zero past its end, and den[0]
-    # must be nonzero.
+    # must be nonzero.  num and den are scaled to integers, which leaves the
+    # quotient as it is, and earlier coefficients are kept as integers over
+    # their lcm, so each step sums integer products and builds one Fraction.
+    scale = lcm(*(c.denominator for c in (*num, *den)))
+    n, d = ([c.numerator * (scale // c.denominator) for c in part] for part in (num, den))
     out: list[Fraction] = []
-    for k in range(len(den)):
-        acc = sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
-        out.append(((num[k] if k < len(num) else 0) - acc) / den[0])
+    scaled: list[int] = []  # out[i] == scaled[i] / common
+    common = 1
+    for k in range(len(d)):
+        acc = sum(d[j] * scaled[k - j] for j in range(1, k + 1))
+        c = Fraction((n[k] if k < len(n) else 0) * common - acc, common * d[0])
+        step = lcm(common, c.denominator) // common
+        scaled, common = [x * step for x in scaled], common * step
+        scaled.append(c.numerator * (common // c.denominator))
+        out.append(c)
     return tuple(out)
 
 

@@ -1,7 +1,9 @@
 """Independent checks the tests share, each written without the package's
 own route: the Cauchy product of two truncated series, which checks series
-division without any division of its own, and the change of variable from
-s = t - 1 to t, which reads phi's polynomials as excedance tallies."""
+division without any division of its own, the series quotient solved in
+Fraction arithmetic term by term, the reference for the package's integer
+division, and the change of variable from s = t - 1 to t, which reads
+phi's polynomials as excedance tallies."""
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +14,16 @@ def series_mul(a: tuple, b: tuple) -> tuple:
         sum((a[j] * b[k - j] for j in range(k + 1)), Fraction(0))
         for k in range(min(len(a), len(b)))
     )
+
+
+def divide(num: tuple, den: tuple) -> tuple:
+    """num/den truncated at the order of den, one Fraction at a time; num
+    reads as zero past its end, and den[0] must be nonzero."""
+    out: list = []
+    for k in range(len(den)):
+        acc = sum((den[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+        out.append(((num[k] if k < len(num) else 0) - acc) / den[0])
+    return tuple(out)
 
 
 def in_powers_of_t(a: list[int]) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -129,7 +130,7 @@ def test_a_claim_reads_phi_and_its_tally_rows_once(claim_id, monkeypatch):
 
 @pytest.mark.parametrize("claim_id, divisions", [
     ("C1-egf-standard", 0), ("C3-phi-tanh", 1), ("C6-tangent-bernoulli", 1),
-    ("C13-odd-function", 1),
+    ("C7-integrality", 2), ("C13-odd-function", 1),
 ])
 def test_a_claim_divides_each_series_once_at_its_top_order(claim_id, divisions, monkeypatch):
     hi = get_claim(claim_id).hi
@@ -287,7 +288,7 @@ def test_json_meta_block(capsys):
     assert list(doc) == ["max_n", "results", "meta"]
     assert set(doc["meta"]) == {"timestamp", "version"}
     assert doc["meta"]["version"] == excedance.__version__
-    assert doc["meta"]["timestamp"].endswith("+00:00")
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", doc["meta"]["timestamp"])
 
 
 def test_exact_values_in_counterexamples():

@@ -72,24 +72,30 @@ def test_cli_import_leaves_slow_modules_unloaded():
     assert result.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv, runs, unloaded", [
+@pytest.mark.parametrize("argv, exit_code, runs, unloaded", [
     # Only a command that builds a rational loads fractions.
-    (["seq", "tangent", "--count", "3"], "sequences",
+    (["seq", "tangent", "--count", "3"], 0, "sequences",
      {"excedance.claims", "excedance.series", "fractions", "json"}),
     # The Eulerian rows are the excedance tally, so they live in permutations.
-    (["seq", "eulerian", "--count", "3"], "permutations",
+    (["seq", "eulerian", "--count", "3"], 0, "permutations",
      {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
-    (["dist", "5"], "permutations",
+    (["dist", "5"], 0, "permutations",
      {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
-    (["series", "tanh", "--order", "3"], "series",
+    (["series", "tanh", "--order", "3"], 0, "series",
      {"excedance.claims", "excedance.permutations", "json"}),
-    # Only the JSON metadata reads the clock, so a text report never loads it.
-    (["verify"], "claims", {"datetime", "json"}),
-], ids=["seq", "seq-eulerian", "dist", "series", "verify"])
-def test_each_command_loads_only_what_it_runs(argv, runs, unloaded):
+    # A text report writes no JSON, and the JSON metadata is stamped
+    # without datetime.
+    (["verify"], 0, "claims", {"datetime", "json"}),
+    (["verify", "--format", "json"], 0, "claims", {"datetime"}),
+    # A bound is refused before any claim is loaded.
+    (["verify", "--max-n", "9"], 2, "exact", {"excedance.claims", "fractions"}),
+    (["verify", "--max-n", "-1"], 2, "exact", {"excedance.claims", "fractions"}),
+], ids=["seq", "seq-eulerian", "dist", "series", "verify", "verify-json",
+        "verify-over-cap", "verify-negative"])
+def test_each_command_loads_only_what_it_runs(argv, exit_code, runs, unloaded):
     code = (f"import sys, excedance.cli; code = excedance.cli.main({argv!r}); "
             f"print(code, 'excedance.{runs}' in sys.modules, "
             f"sorted({unloaded!r} & set(sys.modules)))")
     result = run_fresh(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 True []"
+    assert result.stdout.splitlines()[-1] == f"{exit_code} True []"

@@ -2,7 +2,8 @@
 from fractions import Fraction
 from math import factorial
 
-from cauchy import series_mul
+import pytest
+from cauchy import divide, series_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,24 @@ def _quotient_terms(name, t, n):
         return (1, *zeros), tuple(Fraction(1, factorial(k + 1)) for k in range(n + 1))
     e = exp_linear(t - 1, n)
     return (t - 1, *zeros), (t - e[0], *(-c for c in e[1:]))
+
+
+@pytest.mark.parametrize("name", ["tanh", "genocchi", "bernoulli"])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 31, 64])
+def test_named_quotients_divide_as_the_fraction_reference(name, order):
+    numerator, denominator = _quotient_terms(name, None, order)
+    assert _divide(numerator, denominator) == divide(numerator, denominator)
+
+
+coefficient = small | st.integers(min_value=-5, max_value=5)
+
+
+@given(
+    num=st.lists(coefficient, max_size=13).map(tuple),
+    den=st.lists(coefficient, min_size=1, max_size=13).filter(lambda d: d[0] != 0).map(tuple),
+)
+def test_division_matches_the_fraction_reference(num, den):
+    assert _divide(num, den) == divide(num, den)
 
 
 @settings(deadline=None)
