@@ -4,7 +4,8 @@ module that turns results into text or JSON; the library returns values.
 
 Exit codes: 0 on success (for ``verify``: every verdict matches its
 expectation), 1 when ``verify`` finds an unexpected verdict or, under
---strict, any FAIL at all, and 2 on usage or guard errors.  Each refusal
+--strict, any FAIL at all, or when the reader closes stdout before all of
+the output is written, and 2 on usage or guard errors.  Each refusal
 raises GuardError where its argument is read, and only ``main`` prints it;
 any other exception is a fault and propagates.  All output is
 deterministic; the only timestamp lives in the JSON report metadata and is
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -320,10 +322,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_t(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone; devnull takes what is left, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,13 +5,11 @@ or ``pytest -s`` to see the explicit ACCEPTANCE lines.  Everything is an
 exact comparison; there are no tolerances anywhere.
 """
 import json
-import os
-import subprocess
-import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
+
+from harness import run_cli
 
 from excedance.claims import verify_all
 from excedance.permutations import (
@@ -29,25 +27,12 @@ from excedance.sequences import (
 )
 from excedance.series import egf_coeff, genocchi_series, phi_series, tanh_series
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
 _SUITE_STARTED = time.monotonic()
 _SUITE_BUDGET_SECONDS = 300.0
 
 
 def _report(number: int, description: str) -> None:
     print(f"ACCEPTANCE {number} PASS: {description}")
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "excedance", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 def test_criterion_1_eulerian_recurrence_equals_enumeration():

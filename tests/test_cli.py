@@ -1,12 +1,10 @@
 import json
-import os
-import subprocess
-import sys
 from math import factorial
 from pathlib import Path
 
 import pytest
 from cauchy import in_powers_of_t
+from harness import ROOT, run_cli, run_python
 
 from excedance import claims, cli
 from excedance.exact import (
@@ -18,20 +16,8 @@ from excedance.exact import (
 )
 from excedance.series import phi_polynomials
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "excedance", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+TRACED = str(ROOT / "bench" / "traced.py")
 
 
 def test_seq_altsum():
@@ -262,16 +248,13 @@ def test_seq_eulerian_json_streams_in_bounded_memory():
     # peaks near 300 MB; written row by row, near 18 MB.  A fresh interpreter
     # starts the command and reads its peak, because a child of this process
     # would count this process's own peak as its own.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     code = (
         "import resource, subprocess, sys; "
         "subprocess.run([sys.executable, '-m', 'excedance', 'seq', 'eulerian', '--count', '500', "
         "'--format', 'json'], stdout=subprocess.DEVNULL, check=True); "
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60)
+    result = run_python("-c", code, timeout=60)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 64 * 1024  # kilobytes on Linux
 
@@ -308,9 +291,10 @@ def test_verify_all_default():
     assert result.stderr == ""
 
 
-def test_verify_text_rendering(capsys):
-    assert cli.main(["verify", "--max-n", "8"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+def test_verify_text_rendering():
+    result = run_cli("verify", "--max-n", "8")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
     assert lines[0].split() == ["id", "paper_ref", "range", "verdict", "first_counterexample"]
     assert len(lines) == 14
     c8_line = next(line for line in lines if line.startswith("C8-genocchi-relation"))
@@ -350,11 +334,9 @@ def test_verify_unknown_claim():
      "phi is undefined at t=1: the denominator t - e^(x(t-1)) has a vanishing constant term there"),
     (("series", "tanh", "--order", "3", "--t", "2"), "--t only applies to phi, not 'tanh'"),
 ])
-def test_each_refusal_prints_its_message_and_exits_2(argv, message, capsys):
-    assert cli.main(list(argv)) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {message}\n"
+def test_each_refusal_prints_its_message_and_exits_2(argv, message):
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -362,27 +344,21 @@ def test_each_refusal_prints_its_message_and_exits_2(argv, message, capsys):
     (("series", "nope", "--order", "3"), cli.SERIES),
     (("verify", "--format", "yaml"), ("text", "json")),
 ])
-def test_unknown_names_are_refused_with_the_choices_listed(argv, names, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(list(argv))
-    assert exit_info.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert repr("yaml" if "--format" in argv else "nope") in err
-    assert all(repr(name) in err for name in names)
+def test_unknown_names_are_refused_with_the_choices_listed(argv, names):
+    result = run_cli(*argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert repr("yaml" if "--format" in argv else "nope") in result.stderr
+    assert all(repr(name) in result.stderr for name in names)
 
 
 @pytest.mark.parametrize("argv", [
     ("seq", "tangent", "--count", "3", "--force"),
     ("series", "tanh", "--order", "3", "--force"),
 ])
-def test_force_is_refused_where_no_guard_reads_it(argv, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(list(argv))
-    assert exit_info.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "unrecognized arguments: --force" in err
+def test_force_is_refused_where_no_guard_reads_it(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "unrecognized arguments: --force" in result.stderr
 
 
 @pytest.mark.parametrize("fault", [KeyError("route"), ValueError("bad value")])
@@ -396,14 +372,12 @@ def test_a_fault_inside_a_claim_is_not_a_usage_error(fault, monkeypatch):
         cli.main(["verify", "--claims", "C5-parity"])
 
 
-def test_verify_json_no_meta_is_byte_identical(capsys):
-    args = ["verify", "--claims", "all", "--max-n", "8", "--format", "json", "--no-meta"]
-    outputs = []
-    for _ in range(2):
-        assert cli.main(args) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    doc = json.loads(outputs[0])
+def test_verify_json_no_meta_is_byte_identical():
+    args = ("verify", "--claims", "all", "--max-n", "8", "--format", "json", "--no-meta")
+    first, second = run_cli(*args), run_cli(*args)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+    doc = json.loads(first.stdout)
     assert list(doc) == ["max_n", "results"]
 
 
@@ -422,28 +396,19 @@ def test_verify_json_no_meta_is_byte_identical(capsys):
 ])
 def test_verify_output_matches_the_golden_file(argv, golden):
     # The files pin each output byte for byte; rewrite one only when a
-    # verdict, range, counterexample or value is meant to change.
+    # verdict, range, counterexample or value is meant to change.  CI diffs
+    # the same files against `python -m excedance` writing to a pipe.
     result = run_cli(*argv, timeout=60)
     assert result.returncode == 0
     assert result.stdout == (DATA / golden).read_text()
-
-
-def run_traced(trace: Path, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["EXCEDANCE_BENCH_TRACE"] = str(trace)
-    return subprocess.run(
-        [sys.executable, str(Path(SRC).parent / "bench" / "traced.py"), *args],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
 
 
 def test_bench_tracer_runs_verify_unchanged(tmp_path):
     # bench/traced.py wraps the package's public functions by name and reads
     # labelled arguments from their signatures; a signature it no longer
     # matches makes the traced command fail.
-    result = run_traced(tmp_path / "trace.json",
-                        "verify", "--max-n", "25", "--force", "--format", "json", "--no-meta")
+    result = run_python(TRACED, "verify", "--max-n", "25", "--force", "--format", "json",
+                        "--no-meta", env={"EXCEDANCE_BENCH_TRACE": str(tmp_path / "trace.json")})
     assert result.returncode == 0, result.stderr
     assert result.stdout == (DATA / "verify_max_n_25_force.json").read_text()
 
@@ -456,7 +421,7 @@ def test_bench_tracer_sees_the_functions_a_command_imports_late(argv, span, tmp_
     # cli imports each command's module only when the command runs, and then
     # reads each function from it, so the traced wrapper must be the one called.
     trace = tmp_path / "trace.json"
-    result = run_traced(trace, *argv)
+    result = run_python(TRACED, *argv, env={"EXCEDANCE_BENCH_TRACE": str(trace)})
     assert result.returncode == 0, result.stderr
     assert result.stdout == run_cli(*argv).stdout
     assert span in {record[0] for record in json.loads(trace.read_text())["spans"]}
@@ -482,3 +447,32 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout.startswith("excedance ")
+
+
+def test_python_m_exits_with_the_code_main_returns():
+    # The other tests call main in-process; here __main__ hands its code to sys.exit.
+    result = run_python("-m", "excedance", "verify")
+    assert (result.returncode, result.stdout) == (0, (DATA / "verify.txt").read_text())
+    strict = run_python("-m", "excedance", "verify", "--claims", "C8-genocchi-relation", "--strict")
+    assert strict.returncode == 1
+    for argv in (("verify", "--max-n", "9"), ("bogus",)):
+        result = run_python("-m", "excedance", *argv)
+        assert (result.returncode, result.stdout) == (2, "")
+
+
+# Each reader closes the command's stdout: after 10 bytes of the pipe, or
+# before the command starts.
+@pytest.mark.parametrize("argv, reader", [
+    (("seq", "eulerian", "--count", "300"),
+     "p = subprocess.Popen(argv, stdout=subprocess.PIPE); p.stdout.read(10); p.stdout.close()"),
+    (("verify",),
+     "r, w = os.pipe(); os.close(r); p = subprocess.Popen(argv, stdout=w); os.close(w)"),
+], ids=["seq-after-10-bytes", "verify-before-any-write"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(argv, reader):
+    # The command's stderr is the captured stderr of the interpreter that
+    # starts it.  Its stdout is block-buffered, as in a shell pipeline, so a
+    # short report first fails at the flush.
+    code = (f"import os, subprocess, sys; argv = [sys.executable, '-m', 'excedance', *{argv!r}]; "
+            f"{reader}; print(p.wait())")
+    result = run_python("-c", code, env={"PYTHONUNBUFFERED": ""})
+    assert (result.stdout, result.stderr) == ("1\n", "")

@@ -1,24 +1,12 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from harness import run_python
 
 import excedance
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
 SUBMODULES = ("exact", "series", "permutations", "sequences", "claims", "cli")
 
-
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    # A fresh interpreter, since pytest itself loads dataclasses, json and
-    # every module the other tests import.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+# The load pins run in a fresh interpreter, since pytest itself loads
+# dataclasses, json and every module the other tests import.
 
 
 def test_package_exports_are_pinned():
@@ -59,7 +47,7 @@ def test_each_submodule_resolves_on_first_use():
             "    assert 'excedance.' + m not in sys.modules, m\n"
             "    assert getattr(excedance, m) is sys.modules['excedance.' + m], m\n"
             "print('ok')")
-    result = run_fresh(code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 
@@ -67,7 +55,8 @@ def test_each_submodule_resolves_on_first_use():
 def test_cli_import_leaves_slow_modules_unloaded():
     slow = {"dataclasses", "inspect", "datetime", "fractions", "json", "excedance.claims",
             "excedance.permutations", "excedance.sequences", "excedance.series"}
-    result = run_fresh(f"import sys, excedance.cli; print(sorted({slow!r} & set(sys.modules)))")
+    result = run_python("-c",
+                        f"import sys, excedance.cli; print(sorted({slow!r} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
@@ -96,6 +85,6 @@ def test_each_command_loads_only_what_it_runs(argv, exit_code, runs, unloaded):
     code = (f"import sys, excedance.cli; code = excedance.cli.main({argv!r}); "
             f"print(code, 'excedance.{runs}' in sys.modules, "
             f"sorted({unloaded!r} & set(sys.modules)))")
-    result = run_fresh(code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{exit_code} True []"
