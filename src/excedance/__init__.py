@@ -14,8 +14,9 @@ rationals; there is no floating point anywhere.  The subpackages:
 * :mod:`excedance.cli` -- the ``excedance`` command, the one module that
   renders results as text or JSON.
 
-Importing the package loads none of them: each export and each submodule
-resolves on first use, so a command loads only the modules it runs.
+Importing the package loads none of them: each submodule resolves on first
+use, so a command loads only the modules it runs.  Each public name lives
+in its module, listed in that module's ``__all__``.
 """
 from __future__ import annotations
 
@@ -23,32 +24,16 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each export and the submodule that defines it.
-_EXPORTS = {
-    name: module
-    for module, names in {
-        "claims": ("Claim", "ClaimResult", "Counterexample", "claim_ids", "verify_all",
-                   "verify_claim"),
-        "exact": ("GuardError",),
-        "permutations": ("alternating_counts", "enumerate_permutations", "excedance_count",
-                         "excedance_distribution", "is_alternating_up_down"),
-        "series": ("bernoulli_series", "egf_coeff", "exp_linear", "genocchi_series",
-                   "phi_polynomials", "phi_series", "tanh_series"),
-    }.items()
-    for name in names
-}
 _SUBMODULES = ("claims", "cli", "exact", "permutations", "sequences", "series")
 
-__all__ = ["__version__", *_EXPORTS]
+__all__ = ["__version__"]
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})
+    return sorted({*globals(), *_SUBMODULES})

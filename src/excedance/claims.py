@@ -33,7 +33,7 @@ from itertools import zip_longest
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
-from .exact import DESK_LIMIT
+from .exact import DESK_LIMIT, require_size
 from .permutations import alternating_counts, eulerian_rows
 from .sequences import (
     alternating_sums,
@@ -126,8 +126,7 @@ def get_claim(claim_id: str) -> Claim:
 def verify_claim(claim_id: str, max_n: int = DESK_LIMIT) -> ClaimResult:
     """Evaluate one claim on its range intersected with [0, max_n]."""
     claim = get_claim(claim_id)
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    require_size("max_n", max_n)
     hi = min(claim.hi, max_n)
     counterexamples = tuple(
         Counterexample(n, lhs, rhs)

@@ -14,12 +14,11 @@ suppressed by --no-meta.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import re
 import sys
 from collections.abc import Sequence
-from math import factorial
+from math import factorial, inf
 
 from . import __version__
 from .exact import (
@@ -48,28 +47,27 @@ def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     )
 
 
-def _module(name: str):
-    return importlib.import_module(f"{__package__}.{name}")
-
+_package = sys.modules[__package__]
 
 # Each prefix gives the first count values, or rows of the Eulerian triangle.
-# An entry imports its module and reads its function there only when called,
-# so a command loads no module it does not run, and a wrapper that
-# bench/traced.py binds on the module in the function's place is the one called.
+# An entry reaches its module through the package and reads its function
+# there only when called, so a command loads no module it does not run, and
+# a wrapper that bench/traced.py binds on the module in the function's place
+# is the one called.
 SEQUENCES = {
-    "tangent": lambda count: _module("sequences").tangents(count),
-    "bernoulli": lambda count: _module("sequences").bernoullis(count),
-    "genocchi": lambda count: _module("sequences").genocchis(count),
-    "eulerian": lambda count: _module("permutations").eulerian_rows(count),
-    "altsum": lambda count: _module("sequences").alternating_sums(count),
+    "tangent": lambda count: _package.sequences.tangents(count),
+    "bernoulli": lambda count: _package.sequences.bernoullis(count),
+    "genocchi": lambda count: _package.sequences.genocchis(count),
+    "eulerian": lambda count: _package.permutations.eulerian_rows(count),
+    "altsum": lambda count: _package.sequences.alternating_sums(count),
 }
 
 # Each constructor takes the order and phi's --t, which only phi reads.
 SERIES = {
-    "tanh": lambda order, t: _module("series").tanh_series(order),
-    "phi": lambda order, t: _module("series").phi_series(t, order),
-    "genocchi": lambda order, t: _module("series").genocchi_series(order),
-    "bernoulli": lambda order, t: _module("series").bernoulli_series(order),
+    "tanh": lambda order, t: _package.series.tanh_series(order),
+    "phi": lambda order, t: _package.series.phi_series(t, order),
+    "genocchi": lambda order, t: _package.series.genocchi_series(order),
+    "bernoulli": lambda order, t: _package.series.bernoulli_series(order),
 }
 
 
@@ -163,13 +161,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n > DESK_LIMIT and not args.force:
-        raise GuardError(
-            f"max_n={args.max_n} exceeds the default verification cap {DESK_LIMIT} "
-            "(DESK_LIMIT); pass --force to go higher"
-        )
-    if args.max_n < 0:
-        raise GuardError(f"max_n must be >= 0, got {args.max_n}")
+    hint = "" if args.force else " (--force lifts the cap)"
+    require_within("--max-n", args.max_n, 0, inf if args.force else DESK_LIMIT, hint)
     from .claims import FAIL, get_claim, verify_all
     if args.claims.strip() == "all":
         ids = None

@@ -7,7 +7,8 @@ numerator over a strictly positive denominator, so equality is structural.
 It is imported only where a rational is built, so a command that builds
 none never loads it; :func:`as_rational` refuses floats rather than
 converting them.  The work limits are tabled here, so each size bound is
-written once.  A limit is applied only where input arrives from outside
+written once, and :func:`require_size` is the one refusal of a negative
+size.  A limit is applied only where input arrives from outside
 (the command line) or where the work is exponential (the enumeration
 oracle); every polynomial library function takes any size.
 """
@@ -21,6 +22,7 @@ __all__ = [
     "SEQ_COUNT_LIMIT",
     "T_DIGITS_LIMIT",
     "require_within",
+    "require_size",
     "as_rational",
 ]
 
@@ -45,7 +47,7 @@ SEQ_COUNT_LIMIT = 500
 T_DIGITS_LIMIT = 32
 
 
-def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> None:
+def require_within(what: str, value: int, lo: int, hi: float, hint: str = "") -> None:
     """Refuse a value outside lo..hi with a GuardError naming both bounds.
 
     >>> require_within("--order", 65, 0, SERIES_ORDER_LIMIT)
@@ -55,6 +57,13 @@ def require_within(what: str, value: int, lo: int, hi: int, hint: str = "") -> N
     """
     if not lo <= value <= hi:
         raise GuardError(f"{what} must be within {lo}..{hi}{hint}, got {value}")
+
+
+def require_size(what: str, value: int) -> None:
+    """Refuse a negative size with a plain ValueError, not a GuardError: a
+    library caller passed it, so inside a command it is a fault and propagates."""
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
 
 
 def as_rational(value: Fraction | int) -> Fraction:

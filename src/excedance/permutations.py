@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .exact import ENUMERATION_LIMIT, GuardError, require_within
+from .exact import ENUMERATION_LIMIT, require_size, require_within
 
 __all__ = [
-    "GuardError",
     "excedance_count",
     "is_alternating_up_down",
     "enumerate_permutations",
@@ -112,8 +111,7 @@ def eulerian_rows(count: int) -> Iterator[list[int]]:
     >>> list(eulerian_rows(3))
     [[1], [1, 1], [1, 4, 1]]
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    require_size("count", count)
     return _eulerian_rows(count)
 
 
@@ -135,8 +133,7 @@ def excedance_distribution(n: int) -> list[int]:
     >>> excedance_distribution(0)
     [1]
     """
-    if n < 0:
-        raise ValueError(f"permutation length must be >= 0, got {n}")
+    require_size("permutation length", n)
     row = [1]
     for row in _eulerian_rows(n):
         pass
@@ -156,8 +153,7 @@ def alternating_counts(count: int) -> list[int]:
     >>> alternating_counts(6)
     [1, 1, 1, 2, 5, 16]
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    require_size("count", count)
     row = [1]
     counts = row[:count]
     for _ in range(1, count):

@@ -32,17 +32,14 @@ from __future__ import annotations
 import math
 from operator import add, mul
 
+from .exact import require_size
+
 __all__ = [
     "bernoullis",
     "tangents", "tangents_by_bernoulli", "tangents_by_tanh",
     "genocchis",
     "alternating_sums",
 ]
-
-
-def _require_count(count: int) -> None:
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
 
 
 def bernoullis(count: int) -> list[Fraction]:
@@ -55,7 +52,7 @@ def bernoullis(count: int) -> list[Fraction]:
     []
     """
     from fractions import Fraction
-    _require_count(count)
+    require_size("count", count)
     # By von Staudt-Clausen the denominator of each B_m, m < count, divides
     # scale = lcm(1..count), so the recurrence runs on the integers
     # scale * B_m, and a non-zero remainder would be a fault, not rounding.
@@ -79,7 +76,7 @@ def tangents_by_bernoulli(count: int) -> list[Fraction]:
     ['1', '2', '16', '272']
     """
     from fractions import Fraction
-    _require_count(count)
+    require_size("count", count)
     b = bernoullis(2 * count + 1)
     return [
         Fraction((-1) ** (n - 1) * 4**n * (4**n - 1), 2 * n) * b[2 * n]
@@ -96,7 +93,7 @@ def tangents_by_tanh(count: int) -> list[Fraction]:
     """
     # Only this series route imports series, so seq never loads it.
     from .series import egf_coeff, tanh_series
-    _require_count(count)
+    require_size("count", count)
     if not count:
         return []
     tanh = tanh_series(2 * count - 1)
@@ -112,7 +109,7 @@ def tangents(count: int) -> list[int]:
     >>> tangents(4)
     [1, 2, 16, 272]
     """
-    _require_count(count)
+    require_size("count", count)
     t = [1] * count
     for i in range(1, count):
         t[i] = i * t[i - 1]
@@ -129,7 +126,7 @@ def genocchis(count: int) -> list[int]:
     >>> genocchis(6)
     [1, -1, 0, 1, 0, -3]
     """
-    _require_count(count)
+    require_size("count", count)
     values = [1 if n == 1 else 0 for n in range(1, count + 1)]
     for k, t in enumerate(tangents(count // 2), 1):
         value, remainder = divmod(k * t, 4 ** (k - 1))
@@ -145,7 +142,7 @@ def alternating_sums(count: int) -> list[int]:
     >>> alternating_sums(6)
     [1, 1, 0, -2, 0, 16]
     """
-    _require_count(count)
+    require_size("count", count)
     # S(0) = 1 and S(n) = 0 at even n >= 2; this is the one place the sign
     # rule is written: S(n) = (-1)^((n-1)/2) T(n) at odd n.
     values = [1 if n == 0 else 0 for n in range(count)]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import add, sub
 
-from .exact import as_rational
+from .exact import as_rational, require_size
 
 __all__ = [
     "exp_linear",
@@ -64,8 +64,7 @@ def exp_linear(a: Fraction | int, order: int) -> tuple[Fraction, ...]:
     >>> exp_linear(-2, 2)[2]
     Fraction(2, 1)
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    require_size("order", order)
     a = as_rational(a)
     return tuple(a**k / factorial(k) for k in range(order + 1))
 
@@ -82,8 +81,7 @@ def phi_polynomials(order: int) -> list[list[int]]:
     >>> phi_polynomials(3)
     [[1], [1], [2, 1], [6, 6, 1]]
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    require_size("order", order)
     polys = [[1]]
     for n in range(1, order + 1):
         a = [0] * n
@@ -148,15 +146,13 @@ def bernoulli_series(order: int) -> tuple[Fraction, ...]:
     1/(k+1)!, and the result is its reciprocal.  n! * c[n] is the n-th
     Bernoulli number in the convention where index 1 gives -1/2.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    require_size("order", order)
     return _divide((1,), tuple(Fraction(1, factorial(k + 1)) for k in range(order + 1)))
 
 
 def egf_coeff(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
     """Exponential coefficient n! * c[n]; errors past the truncation order."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    require_size("index", n)
     if n >= len(coeffs):
         raise ValueError(
             f"index {n} exceeds the truncation order {len(coeffs) - 1}; "

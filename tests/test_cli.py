@@ -136,8 +136,7 @@ def test_each_limit_accepts_its_own_value(argv):
     (("series", "tanh", "--order", str(SERIES_ORDER_LIMIT + 1)),
      f"--order must be within 0..{SERIES_ORDER_LIMIT}, got {SERIES_ORDER_LIMIT + 1}"),
     (("verify", "--max-n", str(DESK_LIMIT + 1)),
-     f"max_n={DESK_LIMIT + 1} exceeds the default verification cap {DESK_LIMIT} (DESK_LIMIT); "
-     "pass --force to go higher"),
+     f"--max-n must be within 0..{DESK_LIMIT} (--force lifts the cap), got {DESK_LIMIT + 1}"),
     (("seq", "eulerian", "--count", str(SEQ_COUNT_LIMIT + 1)),
      f"--count must be within 1..{SEQ_COUNT_LIMIT}, got {SEQ_COUNT_LIMIT + 1}"),
 ])
@@ -325,7 +324,8 @@ def test_verify_unknown_claim():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify", "--max-n", "-1"), "max_n must be >= 0, got -1"),
+    (("verify", "--max-n", "-1"),
+     f"--max-n must be within 0..{DESK_LIMIT} (--force lifts the cap), got -1"),
     (("verify", "--claims", "C99-nope"),
      "unknown claim 'C99-nope'; registered ids: " + ", ".join(claims.claim_ids())),
     (("verify", "--claims", ","), "--claims needs 'all' or a comma-separated id list"),
@@ -333,6 +333,7 @@ def test_verify_unknown_claim():
     (("series", "phi", "--order", "3", "--t", "1"),
      "phi is undefined at t=1: the denominator t - e^(x(t-1)) has a vanishing constant term there"),
     (("series", "tanh", "--order", "3", "--t", "2"), "--t only applies to phi, not 'tanh'"),
+    (("verify", "--max-n", "-1", "--force"), "--max-n must be within 0..inf, got -1"),
 ])
 def test_each_refusal_prints_its_message_and_exits_2(argv, message):
     result = run_cli(*argv)

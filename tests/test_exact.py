@@ -1,5 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
+from excedance import claims, permutations, series
+from excedance.exact import GuardError
+
 
 def test_field_axioms_hold_structurally():
     values = [Fraction(p, q) for p in range(-3, 4) for q in range(1, 4)]
@@ -32,3 +37,20 @@ def test_integer_decimal_roundtrip_to_1000_digits():
     text = "9" * 1000
     assert str(int(text)) == text
 
+
+# The sequence prefixes, which refuse a negative count the same way, are
+# checked in test_sequences.py.
+@pytest.mark.parametrize("function, args, what", [
+    (permutations.excedance_distribution, (-1,), "permutation length"),
+    (series.exp_linear, (1, -1), "order"),
+    (series.phi_polynomials, (-1,), "order"),
+    (series.bernoulli_series, (-1,), "order"),
+    (series.egf_coeff, ((1,), -1), "index"),
+    (claims.verify_claim, ("C3-phi-tanh", -1), "max_n"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_negative_size_is_a_plain_value_error(function, args, what):
+    # A library caller's fault, so not a GuardError: inside a command it
+    # propagates as a fault instead of printing a refusal.
+    with pytest.raises(ValueError, match=f"^{what} must be >= 0, got -1$") as refused:
+        function(*args)
+    assert not isinstance(refused.value, GuardError)

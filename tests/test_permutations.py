@@ -7,8 +7,8 @@ import pytest
 from cauchy import in_powers_of_t
 
 from excedance.claims import verify_all
+from excedance.exact import GuardError
 from excedance.permutations import (
-    GuardError,
     alternating_counts,
     enumerate_permutations,
     eulerian_rows,
@@ -192,11 +192,11 @@ def test_excedance_tally_matches_enumeration_and_the_triangle():
         row = excedance_distribution(n)
         assert row == [counts[k] for k in range(max(n, 1))] and sum(row) == factorial(n)
     # Past the oracle, phi's polynomials read in powers of t are a second
-    # route to the same rows.
+    # route to the same rows, at every length to 64 and at 100.
     polys = phi_polynomials(100)
-    for n in (12, 50, 100):
-        row = excedance_distribution(n)
-        assert row == in_powers_of_t(polys[n]) and sum(row) == factorial(n)
+    for n, row in enumerate(eulerian_rows(64), 1):
+        assert row == in_powers_of_t(polys[n]) and sum(row) == factorial(n), n
+    assert excedance_distribution(100) == in_powers_of_t(polys[100])
 
 
 def test_even_length_counts_match_down_up_recount():

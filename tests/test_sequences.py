@@ -149,9 +149,17 @@ def test_alternating_sum_closed_form():
 
 
 def test_alternating_sum_matches_bruteforce_to_8():
-    # The closed form against the tally row folded at t = -1.
+    # The closed form against the enumerated tally folded at t = -1.
     for n, value in enumerate(alternating_sums(9)):
-        assert value == sum((-1) ** k * c for k, c in enumerate(excedance_distribution(n)))
+        tally = Counter(excedance_count(p) for p in enumerate_permutations(n))
+        assert value == sum((-1) ** k * c for k, c in tally.items()), n
+
+
+def test_alternating_sums_are_the_eulerian_rows_folded_at_minus_one():
+    # Past the oracle, the closed form against every tally row to 64.
+    rows = [[1], *eulerian_rows(64)]
+    for n, value in enumerate(alternating_sums(65)):
+        assert value == sum((-1) ** k * c for k, c in enumerate(rows[n])), n
 
 
 def test_alternating_sum_signs_track_tangent():
