@@ -10,7 +10,7 @@ rationals; there is no floating point anywhere.  The subpackages:
 * :mod:`excedance.permutations` -- statistics, the excedance tally (the
   Eulerian rows) and the exhaustive enumeration oracle.
 * :mod:`excedance.sequences` -- multi-route sequence generators.
-* :mod:`excedance.claims` -- the claim registry and PASS/FAIL verification.
+* :mod:`excedance.claims` -- the claim table and PASS/FAIL verification.
 * :mod:`excedance.cli` -- the ``excedance`` command, the one module that
   renders results as text or JSON.
 

@@ -1,4 +1,4 @@
-"""Registry of asserted identities, each verified by independent routes.
+"""The table of asserted identities, each verified by independent routes.
 
 Every claim pairs a left and a right computation that share nothing beyond
 the exact-arithmetic primitives: the integer polynomials of phi against
@@ -9,31 +9,34 @@ independent routes.  A claim is evaluated over its whole finite index
 range at once, so each series, prefix and tally it reads is computed once,
 at the top of the range; C6 and C7 read each tangent route as one such
 prefix, and C7 checks the Genocchi series at every index of its range.
-Any index where the two sides disagree becomes a counterexample, and the
-verdict is FAIL exactly when at least one counterexample exists.
-A ClaimResult holds its Claim, the top index checked and the
-counterexamples, and derives its verdict from them.  Results are plain
-values; only the command-line interface renders them as text or JSON.
+An evaluator yields (n, lhs, rhs) triples, and each triple whose two sides
+differ is a counterexample, kept as it is; the verdict is FAIL exactly
+when at least one counterexample exists.  A ClaimResult holds its Claim,
+the top index checked and the counterexamples, and derives its verdict
+from them.  Results are plain values; only the command-line interface
+renders them as text or JSON.
 
-Claims are registered verbatim as asserted in their source text, including
+Claims are recorded verbatim as asserted in their source text, including
 the ones that are false; the point of the harness is to find that out
 mechanically, not to silently correct them.  For claims known to fail, the
-registry records the first failing index, which drives the expected-verdict
+table records the first failing index, which drives the expected-verdict
 logic of the command-line interface: a FAIL that appears exactly where it
 should is a confirmation, not a regression.
 
-The registry is a constant table at the end of this module, in report
-order, keyed by each claim's own id.  Tests check it: every claim cites
-its source, no two claims share an id, and each range has lo <= hi.
+CLAIMS, the constant table at the end of this module, maps each claim's
+own id to the claim, in report order; ``CLAIMS[claim_id]`` is the lookup,
+and an unknown id raises a plain KeyError.  Tests check the table: every
+claim cites its source, no two claims share an id, and each range has
+lo <= hi.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import DESK_LIMIT, require_size
+from .exact import require_size
 from .permutations import alternating_counts, eulerian_rows
 from .sequences import (
     alternating_sums,
@@ -44,23 +47,17 @@ from .sequences import (
 )
 from .series import egf_coeff, genocchi_series, phi_polynomials, phi_series, tanh_series
 
-__all__ = [
-    "Claim",
-    "Counterexample",
-    "ClaimResult",
-    "claim_ids",
-    "get_claim",
-    "verify_claim",
-    "verify_all",
-]
+__all__ = ["CLAIMS", "Claim", "ClaimResult", "verify_claim", "verify_all"]
 
 PASS = "PASS"
 FAIL = "FAIL"
 
 ExactValue = int | Fraction
 
-# (n, lhs, rhs) triples of exact values produced by a claim evaluator.
-Triples = Iterator[tuple[int, ExactValue, ExactValue]]
+# An (n, lhs, rhs) triple of exact values, as a claim evaluator yields it;
+# a counterexample is a triple whose two sides differ.
+Triple = tuple[int, ExactValue, ExactValue]
+Triples = Iterator[Triple]
 
 # Evaluation points for C2; kept small and mixed-sign/mixed-size so a
 # convention slip cannot cancel out.
@@ -92,59 +89,34 @@ class Claim(NamedTuple):
         return PASS
 
 
-class Counterexample(NamedTuple):
-    n: int
-    lhs: ExactValue
-    rhs: ExactValue
-
-
 class ClaimResult(NamedTuple):
     """A claim checked on its range up to hi, with every disagreement found."""
 
     claim: Claim
     hi: int
-    counterexamples: tuple[Counterexample, ...]
+    counterexamples: tuple[Triple, ...]
 
     @property
     def verdict(self) -> str:
         return FAIL if self.counterexamples else PASS
 
 
-def claim_ids() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def get_claim(claim_id: str) -> Claim:
-    try:
-        return _REGISTRY[claim_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown claim {claim_id!r}; registered ids: {', '.join(_REGISTRY)}"
-        ) from None
-
-
-def verify_claim(claim_id: str, max_n: int = DESK_LIMIT) -> ClaimResult:
+def verify_claim(claim_id: str, max_n: int) -> ClaimResult:
     """Evaluate one claim on its range intersected with [0, max_n]."""
-    claim = get_claim(claim_id)
+    claim = CLAIMS[claim_id]
     require_size("max_n", max_n)
     hi = min(claim.hi, max_n)
     counterexamples = tuple(
-        Counterexample(n, lhs, rhs)
-        for n, lhs, rhs in claim.evaluate(range(claim.lo, hi + 1))
-        if lhs != rhs
+        (n, lhs, rhs) for n, lhs, rhs in claim.evaluate(range(claim.lo, hi + 1)) if lhs != rhs
     )
     return ClaimResult(claim, hi, counterexamples)
 
 
-def verify_all(
-    max_n: int = DESK_LIMIT, ids: tuple[str, ...] | list[str] | None = None
-) -> tuple[ClaimResult, ...]:
-    """One result per requested claim, always in registry order."""
+def verify_all(max_n: int, ids: Iterable[str] | None = None) -> tuple[ClaimResult, ...]:
+    """One result per requested claim, always in table order."""
     # Looking every id up first surfaces the first unknown one before any work.
-    wanted = _REGISTRY.keys() if ids is None else {get_claim(i).id for i in ids}
-    return tuple(
-        verify_claim(claim_id, max_n) for claim_id in _REGISTRY if claim_id in wanted
-    )
+    wanted = CLAIMS if ids is None else {CLAIMS[i].id for i in ids}
+    return tuple(verify_claim(claim_id, max_n) for claim_id in CLAIMS if claim_id in wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +263,9 @@ def _eval_odd_function(ns: range) -> Triples:
 
 
 # ---------------------------------------------------------------------------
-# the registry itself: a constant table in report order, checked by tests
+# the claim table itself: constant, in report order, checked by tests
 
-_REGISTRY: dict[str, Claim] = {c.id: c for c in (
+CLAIMS: dict[str, Claim] = {c.id: c for c in (
     Claim(
         id="C1-egf-standard",
         paper_ref="eq (1)",

@@ -1,4 +1,4 @@
-"""Exact integer and rational primitives shared by every other module.
+"""The work limits and the refusals every module shares: of a size, of a float.
 
 Integers are plain Python ints, which are already arbitrary precision and
 round-trip losslessly through decimal strings.  Rationals are

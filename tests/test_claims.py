@@ -9,14 +9,7 @@ from cauchy import in_powers_of_t
 
 import excedance
 from excedance import claims, cli, sequences, series
-from excedance.claims import (
-    Claim,
-    Counterexample,
-    claim_ids,
-    get_claim,
-    verify_all,
-    verify_claim,
-)
+from excedance.claims import CLAIMS, Claim, verify_all, verify_claim
 from excedance.permutations import enumerate_permutations, excedance_count
 from excedance.series import phi_polynomials
 
@@ -50,21 +43,21 @@ FIRST_COUNTEREXAMPLES = {
 
 
 def test_registry_has_thirteen_claims_in_order():
-    assert claim_ids() == tuple(EXPECTED_AT_8)
+    assert list(CLAIMS) == list(EXPECTED_AT_8)
 
 
 def test_every_claim_cites_a_source_location():
-    for claim_id in claim_ids():
-        assert get_claim(claim_id).paper_ref.strip()
+    for claim in CLAIMS.values():
+        assert claim.paper_ref.strip()
 
 
 def test_registry_table_is_well_formed():
     # The registry is a constant table, so its shape is checked here rather
     # than on every import.
-    ids = [claim.id for claim in claims._REGISTRY.values()]
-    assert ids == list(claims._REGISTRY)
+    ids = [claim.id for claim in CLAIMS.values()]
+    assert ids == list(CLAIMS)
     assert len(set(ids)) == len(ids) == 13
-    for claim in claims._REGISTRY.values():
+    for claim in CLAIMS.values():
         assert claim.lo <= claim.hi, claim.id
 
 
@@ -87,7 +80,7 @@ def test_phi_polynomials_are_frobenius_and_the_enumerated_tally():
 def test_c1_compares_integer_coefficients():
     # One triple per coefficient of a_n, so n contributes max(n, 1) triples,
     # each a pair of ints.
-    triples = list(get_claim("C1-egf-standard").evaluate(range(8)))
+    triples = list(CLAIMS["C1-egf-standard"].evaluate(range(8)))
     assert [n for n, _, _ in triples] == [n for n in range(8) for _ in range(max(n, 1))]
     assert all(type(lhs) is int and type(rhs) is int for _, lhs, rhs in triples)
 
@@ -101,8 +94,8 @@ def test_c1_fails_on_a_wrong_tally(monkeypatch):
             yield [row[0] + 1, *row[1:]] if n == 5 else row
 
     monkeypatch.setattr(claims, "eulerian_rows", miscounted)
-    result = verify_claim("C1-egf-standard")
-    assert result.verdict == "FAIL" and {c.n for c in result.counterexamples} == {5}
+    result = verify_claim("C1-egf-standard", 8)
+    assert result.verdict == "FAIL" and {n for n, _, _ in result.counterexamples} == {5}
 
 
 @pytest.mark.parametrize("claim_id", [
@@ -124,7 +117,7 @@ def test_a_claim_reads_phi_and_its_tally_rows_once(claim_id, monkeypatch):
 
     for name in ("phi_polynomials", "eulerian_rows"):
         monkeypatch.setattr(claims, name, counted(name))
-    verify_claim(claim_id, get_claim(claim_id).hi)
+    verify_claim(claim_id, CLAIMS[claim_id].hi)
     assert calls["eulerian_rows"] == 1 and calls["phi_polynomials"] <= 1
 
 
@@ -133,7 +126,7 @@ def test_a_claim_reads_phi_and_its_tally_rows_once(claim_id, monkeypatch):
     ("C7-integrality", 2), ("C13-odd-function", 1),
 ])
 def test_a_claim_divides_each_series_once_at_its_top_order(claim_id, divisions, monkeypatch):
-    hi = get_claim(claim_id).hi
+    hi = CLAIMS[claim_id].hi
     orders = []
     divide = series._divide
 
@@ -158,7 +151,7 @@ def test_a_claim_reads_the_bernoulli_prefix_once(claim_id, monkeypatch):
         return bernoullis(count)
 
     monkeypatch.setattr(sequences, "bernoullis", counting)
-    verify_claim(claim_id, get_claim(claim_id).hi)
+    verify_claim(claim_id, CLAIMS[claim_id].hi)
     assert len(calls) == 1
 
 
@@ -181,8 +174,7 @@ def test_verdict_table_at_default_bound():
 def test_first_counterexamples_are_the_documented_ones():
     by_id = {r.claim.id: r for r in verify_all(8)}
     for claim_id, (n, lhs, rhs) in FIRST_COUNTEREXAMPLES.items():
-        first = by_id[claim_id].counterexamples[0]
-        assert (first.n, first.lhs, first.rhs) == (n, lhs, rhs), claim_id
+        assert by_id[claim_id].counterexamples[0] == (n, lhs, rhs), claim_id
     for claim_id, verdict in EXPECTED_AT_8.items():
         if verdict == "PASS":
             assert by_id[claim_id].counterexamples == ()
@@ -194,11 +186,11 @@ def test_fail_verdict_iff_counterexamples():
 
 
 def test_expected_verdicts_depend_on_bound():
-    c8 = get_claim("C8-genocchi-relation")
+    c8 = CLAIMS["C8-genocchi-relation"]
     assert c8.expected_verdict(2) == "PASS"
     assert c8.expected_verdict(3) == "FAIL"
     assert c8.expected_verdict(8) == "FAIL"
-    c1 = get_claim("C1-egf-standard")
+    c1 = CLAIMS["C1-egf-standard"]
     assert c1.expected_verdict(0) == "PASS"
     assert c1.expected_verdict(8) == "PASS"
 
@@ -218,7 +210,7 @@ def test_single_claim_examples():
 
     result = verify_claim("C8-genocchi-relation", 4)
     assert result.verdict == "FAIL"
-    assert result.counterexamples[0] == Counterexample(3, -2, 1)
+    assert result.counterexamples[0] == (3, -2, 1)
 
     result = verify_claim("C5-parity", 8)
     assert result.verdict == "PASS"
@@ -293,7 +285,7 @@ def test_json_meta_block(capsys):
 
 def test_exact_values_in_counterexamples():
     result = verify_claim("C2-egf-shifted", 2)
-    values = {(c.n, c.lhs, c.rhs) for c in result.counterexamples}
+    values = set(result.counterexamples)
     # At n=1 the left side is 1 for every t while the right side is t itself.
     assert (1, Fraction(1), Fraction(-1)) in values
     assert (1, Fraction(1), Fraction(1, 2)) in values

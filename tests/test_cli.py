@@ -323,11 +323,22 @@ def test_verify_unknown_claim():
     assert result.stdout == ""
 
 
+def test_an_unknown_id_is_refused_before_a_known_one_runs(monkeypatch):
+    def evaluate(ns):
+        raise AssertionError("C1 ran before the unknown id was refused")
+
+    claim = claims.CLAIMS["C1-egf-standard"]._replace(evaluate=evaluate)
+    monkeypatch.setitem(claims.CLAIMS, "C1-egf-standard", claim)
+    result = run_cli("verify", "--claims", "C1-egf-standard,C99-nope")
+    message = "unknown claim 'C99-nope'; registered ids: " + ", ".join(claims.CLAIMS)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--max-n", "-1"),
      f"--max-n must be within 0..{DESK_LIMIT} (--force lifts the cap), got -1"),
     (("verify", "--claims", "C99-nope"),
-     "unknown claim 'C99-nope'; registered ids: " + ", ".join(claims.claim_ids())),
+     "unknown claim 'C99-nope'; registered ids: " + ", ".join(claims.CLAIMS)),
     (("verify", "--claims", ","), "--claims needs 'all' or a comma-separated id list"),
     (("series", "phi", "--order", "3"), "phi needs --t (any exact rational except 1)"),
     (("series", "phi", "--order", "3", "--t", "1"),
@@ -367,8 +378,8 @@ def test_a_fault_inside_a_claim_is_not_a_usage_error(fault, monkeypatch):
     def evaluate(ns):
         raise fault
 
-    claim = claims._REGISTRY["C5-parity"]._replace(evaluate=evaluate)
-    monkeypatch.setitem(claims._REGISTRY, "C5-parity", claim)
+    claim = claims.CLAIMS["C5-parity"]._replace(evaluate=evaluate)
+    monkeypatch.setitem(claims.CLAIMS, "C5-parity", claim)
     with pytest.raises(type(fault)):
         cli.main(["verify", "--claims", "C5-parity"])
 

@@ -171,7 +171,7 @@ def test_count_alternating_has_no_length_limit():
         alternating_counts(-1)
 
 
-def test_verify_all_enumerates_each_length_at_most_once(monkeypatch):
+def test_verify_all_enumerates_no_permutation(monkeypatch):
     # The tallies come from the Eulerian rows, so verify enumerates nothing.
     calls = []
     raw = itertools.permutations

@@ -196,7 +196,7 @@ def test_no_module_level_lists(module):
         name for name, value in vars(module).items()
         if isinstance(value, (list, dict, set)) and not name.startswith("__")
     ]
-    assert stores == (["_REGISTRY"] if module is claims else [])
+    assert stores == (["CLAIMS"] if module is claims else [])
 
 
 def test_sequence_prefixes_reject_a_negative_count():

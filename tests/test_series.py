@@ -30,7 +30,7 @@ def reciprocal(a):
     return _divide((1,), a)
 
 
-def test_series_validates_and_exposes_order():
+def test_series_is_its_order_plus_one_fractions():
     # A series truncated at order N is the tuple of its N + 1 coefficients.
     for build in (tanh_series, genocchi_series, bernoulli_series,
                   lambda n: exp_linear(2, n), lambda n: phi_series(2, n)):
@@ -198,7 +198,7 @@ def test_egf_coeff_examples_and_bounds():
         egf_coeff(e, -1)
 
 
-def test_render_series_plain_text(capsys):
+def test_series_text_writes_x0_and_x1_without_powers(capsys):
     # The constant term has no power of x, and x^1 is written x.
     for argv, first in (
         (["tanh", "--order", "3"], "tanh(order=3) = 0 + 1*x + 0*x^2 + -1/3*x^3"),
