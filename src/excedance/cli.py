@@ -128,13 +128,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     require_within("--order", order, 0, SERIES_ORDER_LIMIT)
     t = args.t
     if name == "phi":
-        if t is None:
-            raise GuardError("phi needs --t (any exact rational except 1)")
-        if t == 1:
-            raise GuardError(
-                "phi is undefined at t=1: the denominator t - e^(x(t-1)) "
-                "has a vanishing constant term there"
-            )
+        t = _phi_t(t)
     elif t is not None:
         raise GuardError(f"--t only applies to phi, not {name!r}")
     from .series import egf_coeff
@@ -216,26 +210,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rational_arg(text: str) -> Fraction:
-    from fractions import Fraction
-    # Echo a prefix of a text too long for any t within the digit limit.
-    shown = repr(text)
+def _phi_t(text: str | None) -> Fraction:
+    """phi's --t as an exact rational, or a GuardError for each way it is refused."""
+    if text is None:
+        raise GuardError("phi needs --t (any exact rational except 1)")
+    too_many_digits = (f"t may have at most {T_DIGITS_LIMIT} digits in its numerator and in its "
+                       f"denominator, so --t at most {2 * T_DIGITS_LIMIT + 2} characters (T_DIGITS_LIMIT)")
+    # "-p/q" with T_DIGITS_LIMIT digits in p and in q is the longest t within the
+    # limit; a longer text is refused unread, so Python's int digit limit decides nothing.
     if len(text) > 2 * T_DIGITS_LIMIT + 2:
-        shown = f"{text[:16]!r}... ({len(text)} characters; T_DIGITS_LIMIT is {T_DIGITS_LIMIT})"
+        raise GuardError(too_many_digits)
     # Fraction expands an exponent, so "1e100000" would become an integer of
     # 100001 digits whose powers no series order could afford.
     if "e" in text.lower():
-        raise argparse.ArgumentTypeError(
-            f"exponent notation is not accepted: {shown}; write t as p/q or an integer"
-        )
+        raise GuardError(f"exponent notation is not accepted: {text!r}; write t as p/q or an integer")
+    from fractions import Fraction
     try:
         t = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {shown}")
+        raise GuardError(f"not an exact rational: {text!r}")
     if max(abs(t.numerator), t.denominator) >= 10**T_DIGITS_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"t may have at most {T_DIGITS_LIMIT} digits in its numerator and in its "
-            "denominator (T_DIGITS_LIMIT)")
+        raise GuardError(too_many_digits)
+    if t == 1:
+        raise GuardError("phi is undefined at t=1: the denominator t - e^(x(t-1)) "
+                         "has a vanishing constant term there")
     return t
 
 
@@ -279,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("name", choices=SERIES)
     p_series.add_argument("--order", type=int, required=True,
                           help=f"truncation order (0..{SERIES_ORDER_LIMIT})")
-    p_series.add_argument("--t", type=_rational_arg, default=None,
-                          help="evaluation point for phi (exact rational, not 1)")
+    p_series.add_argument("--t", help="evaluation point for phi (exact rational, not 1)")
     p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", parents=[common, forcing], help="verify registered claims")

@@ -42,8 +42,8 @@ SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.08 s
 # CLI seq eulerian --count 500, the slowest seq, takes 1.3 s in text (median of 7,
 # no bytecode written); genocchi 0.11 s.
 SEQ_COUNT_LIMIT = 500
-# CLI series phi --t: digits of its numerator and of its denominator.  At order 64
-# the coefficients reach about 64*d + 100 digits, 2100 at 32: 0.11 s, 0.13 s for p/q.
+# CLI series phi --t: digits of its numerator and of its denominator, and so 66 characters
+# of text.  At order 64 the coefficients reach about 64*d + 100 digits: 0.11 s, 0.13 s for p/q.
 T_DIGITS_LIMIT = 32
 
 

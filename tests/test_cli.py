@@ -18,6 +18,8 @@ from excedance.series import phi_polynomials
 
 DATA = Path(__file__).resolve().parent / "data"
 TRACED = str(ROOT / "bench" / "traced.py")
+T_DIGITS_REFUSAL = (f"t may have at most {T_DIGITS_LIMIT} digits in its numerator and in its "
+                    f"denominator, so --t at most {2 * T_DIGITS_LIMIT + 2} characters (T_DIGITS_LIMIT)")
 
 
 def test_seq_altsum():
@@ -235,11 +237,22 @@ def test_series_phi_t_digit_limit():
         assert "T_DIGITS_LIMIT" in result.stderr
 
 
-def test_series_phi_long_t_is_echoed_short():
+def test_series_phi_long_t_is_refused_by_its_length():
     result = run_cli("series", "phi", "--order", "3", "--t=" + "9" * 5000, timeout=15)
     assert result.returncode == 2 and result.stdout == ""
     assert "T_DIGITS_LIMIT" in result.stderr
     assert len(result.stderr.encode()) < 300
+
+
+def test_series_phi_t_refusal_does_not_depend_on_the_int_digit_limit():
+    # Python reads at most 4300 digits into an int by default and any number
+    # under PYTHONINTMAXSTRDIGITS=0; the length of --t is refused before that.
+    for t in ("9" * 5000, "0.5" + "0" * 4400):
+        for digits in ("0", "4300"):
+            result = run_python("-m", "excedance", "series", "phi", "--order", "3", f"--t={t}",
+                                env={"PYTHONINTMAXSTRDIGITS": digits})
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2, "", f"error: {T_DIGITS_REFUSAL}\n")
 
 
 def test_seq_eulerian_json_streams_in_bounded_memory():
@@ -345,6 +358,11 @@ def test_an_unknown_id_is_refused_before_a_known_one_runs(monkeypatch):
      "phi is undefined at t=1: the denominator t - e^(x(t-1)) has a vanishing constant term there"),
     (("series", "tanh", "--order", "3", "--t", "2"), "--t only applies to phi, not 'tanh'"),
     (("verify", "--max-n", "-1", "--force"), "--max-n must be within 0..inf, got -1"),
+    (("series", "phi", "--order", "3", "--t", "x"), "not an exact rational: 'x'"),
+    (("series", "phi", "--order", "3", "--t=1e5"),
+     "exponent notation is not accepted: '1e5'; write t as p/q or an integer"),
+    (("series", "phi", "--order", "3", "--t", "9" * (T_DIGITS_LIMIT + 1)), T_DIGITS_REFUSAL),
+    (("series", "phi", "--order", "3", "--t", "0.5" + "0" * 100), T_DIGITS_REFUSAL),
 ])
 def test_each_refusal_prints_its_message_and_exits_2(argv, message):
     result = run_cli(*argv)

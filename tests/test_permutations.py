@@ -124,7 +124,7 @@ def test_distribution_sums_and_symmetry_to_8():
         assert tally == tally[::-1]
 
 
-def test_alternating_sum_bruteforce_values():
+def test_tally_row_folded_at_minus_one_gives_the_alternating_sums():
     # S(n), the sum of (-1)^exc over length n, read from the tally row.
     assert [at(excedance_distribution(n), -1) for n in range(9)] == [
         1, 1, 0, -2, 0, 16, 0, -272, 0,
@@ -137,7 +137,7 @@ def test_alternating_sum_agrees_with_distribution_fold():
         assert at(excedance_distribution(n), -1) == sum((-1) ** k * c for k, c in counts.items())
 
 
-def test_count_alternating_examples():
+def test_alternating_counts_examples():
     assert alternating_counts(0) == []
     counts = alternating_counts(6)
     assert counts[0] == 1
@@ -146,7 +146,7 @@ def test_count_alternating_examples():
     assert counts[5] == 16
 
 
-def test_count_alternating_matches_filtered_enumeration():
+def test_alternating_counts_match_filtered_enumeration():
     counts = alternating_counts(10)
     for n in range(0, 10):
         filtered = sum(
@@ -155,7 +155,7 @@ def test_count_alternating_matches_filtered_enumeration():
         assert counts[n] == filtered
 
 
-def test_count_alternating_pins_a000111_to_20():
+def test_alternating_counts_pin_a000111_to_20():
     assert alternating_counts(21) == [
         1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765,
         22368256, 199360981, 1903757312, 19391512145, 209865342976,
@@ -163,7 +163,7 @@ def test_count_alternating_pins_a000111_to_20():
     ]
 
 
-def test_count_alternating_has_no_length_limit():
+def test_alternating_counts_have_no_length_limit():
     counts = alternating_counts(400)
     assert counts[13] == 22368256
     assert counts[399] == tangents(200)[-1]
@@ -216,17 +216,17 @@ def test_even_length_counts_match_down_up_recount():
         assert counts[n] == recount
 
 
-def test_eulerian_poly_bruteforce_values():
+def test_tally_row_folded_at_one_and_minus_one():
     # The excedance polynomial, the tally row folded at t.
     assert at(excedance_distribution(3), 1) == 6
     assert at(excedance_distribution(3), -1) == -2
 
 
-def test_eulerian_poly_bruteforce_empty_permutation():
+def test_tally_row_of_the_empty_permutation_folds_to_one():
     assert at(excedance_distribution(0), 7) == 1
 
 
-def test_eulerian_poly_bruteforce_rational_point():
+def test_tally_row_folded_at_a_rational_point():
     value = at(excedance_distribution(3), Fraction(1, 2))
     assert value == 1 + 4 * Fraction(1, 2) + Fraction(1, 4)
 
