@@ -132,14 +132,9 @@ def _at(coeffs: list[int], x: ExactValue) -> ExactValue:
     return value
 
 
-def _tallies(count: int) -> list[list[int]]:
-    """Excedance tallies of lengths 0 .. count-1, in powers of t."""
-    return [[1], *eulerian_rows(count - 1)]
-
-
 def _tally_sums(count: int) -> list[int]:
     """S(0) .. S(count-1), the sums of (-1)^exc: each tally at t = -1."""
-    return [_at(row, -1) for row in _tallies(count)]
+    return [_at(row, -1) for row in eulerian_rows(count)]
 
 
 def _eval_egf_standard(ns: range) -> Triples:
@@ -147,7 +142,7 @@ def _eval_egf_standard(ns: range) -> Triples:
     # per coefficient: the expansion of phi against the tally row, whose
     # t^i = (s+1)^i contributes C(i,j) to s^j.
     polys = phi_polynomials(ns.stop - 1)
-    tallies = _tallies(ns.stop)
+    tallies = list(eulerian_rows(ns.stop))
     for n in ns:
         tally = tallies[n]
         row = [sum(comb(i, j) * c for i, c in enumerate(tally)) for j in range(len(tally))]
@@ -159,7 +154,7 @@ def _eval_egf_shifted(ns: range) -> Triples:
     # Sec 2.2 weights each permutation by t^(exc+1); length 0 keeps weight 1.
     # The left side is phi's a_n at s = t - 1, the right the tally row at t.
     polys = phi_polynomials(ns.stop - 1)
-    tallies = _tallies(ns.stop)
+    tallies = list(eulerian_rows(ns.stop))
     for n in ns:
         for t in _T_POINTS:
             yield n, _at(polys[n], t - 1), t * _at(tallies[n], t) if n else 1

@@ -18,7 +18,8 @@ import os
 import re
 import sys
 from collections.abc import Sequence
-from math import factorial, inf
+from itertools import islice
+from math import factorial
 
 from . import __version__
 from .exact import (
@@ -49,7 +50,8 @@ def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 _package = sys.modules[__package__]
 
-# Each prefix gives the first count values, or rows of the Eulerian triangle.
+# Each prefix gives the first count values, or rows of the Eulerian triangle
+# from length 1, so this is the one place that skips the triangle's row 0.
 # An entry reaches its module through the package and reads its function
 # there only when called, so a command loads no module it does not run, and
 # a wrapper that bench/traced.py binds on the module in the function's place
@@ -58,7 +60,7 @@ SEQUENCES = {
     "tangent": lambda count: _package.sequences.tangents(count),
     "bernoulli": lambda count: _package.sequences.bernoullis(count),
     "genocchi": lambda count: _package.sequences.genocchis(count),
-    "eulerian": lambda count: _package.permutations.eulerian_rows(count),
+    "eulerian": lambda count: islice(_package.permutations.eulerian_rows(count + 1), 1, None),
     "altsum": lambda count: _package.sequences.alternating_sums(count),
 }
 
@@ -101,8 +103,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
     hint = "" if args.force else f" (--force raises the cap to {ENUMERATION_LIMIT})"
     require_within("n", n, 1, ENUMERATION_LIMIT if args.force else DESK_LIMIT, hint)
-    from .permutations import excedance_distribution
-    tally = excedance_distribution(n)
+    from .permutations import eulerian_rows
+    *_, tally = eulerian_rows(n + 1)
     total = sum(tally)
     n_factorial = factorial(n)
     if args.format == "json":
@@ -156,7 +158,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     hint = "" if args.force else " (--force lifts the cap)"
-    require_within("--max-n", args.max_n, 0, inf if args.force else DESK_LIMIT, hint)
+    require_within("--max-n", args.max_n, 0, None if args.force else DESK_LIMIT, hint)
     from .claims import CLAIMS, FAIL, verify_all
     if args.claims.strip() == "all":
         ids = None

@@ -47,16 +47,18 @@ SEQ_COUNT_LIMIT = 500
 T_DIGITS_LIMIT = 32
 
 
-def require_within(what: str, value: int, lo: int, hi: float, hint: str = "") -> None:
-    """Refuse a value outside lo..hi with a GuardError naming both bounds.
+def require_within(what: str, value: int, lo: int, hi: int | None, hint: str = "") -> None:
+    """Refuse a value outside lo..hi with a GuardError naming its bounds;
+    hi None means no upper bound.
 
     >>> require_within("--order", 65, 0, SERIES_ORDER_LIMIT)
     Traceback (most recent call last):
         ...
     excedance.exact.GuardError: --order must be within 0..64, got 65
     """
-    if not lo <= value <= hi:
-        raise GuardError(f"{what} must be within {lo}..{hi}{hint}, got {value}")
+    if value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"within {lo}..{hi}"
+        raise GuardError(f"{what} must be {bounds}{hint}, got {value}")
 
 
 def require_size(what: str, value: int) -> None:

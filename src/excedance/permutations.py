@@ -8,9 +8,11 @@ one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
 table of :mod:`excedance.exact`, because its work is n!.  The excedance
 tally is the Eulerian triangle of :func:`eulerian_rows`, O(n^2) integer
 steps with no enumeration, which ``seq eulerian``, ``dist`` and the claims
-read.  Up-down permutations of every length below a bound are counted by
-one pass of Seidel's boustrophedon triangle in O(n^2) additions, and the
-tests check the counts against filtered enumeration up to length 9.
+read.  Like every prefix, it gives its first count values from index 0:
+rows 0..count-1, so row n is the tally of length n.  Up-down permutations
+of every length below a bound are counted by one pass of Seidel's
+boustrophedon triangle in O(n^2) additions, and the tests check the counts
+against filtered enumeration up to length 9.
 Positions and values are 1-based throughout: a permutation is the tuple of
 its images, its one-line notation (sigma(1), ..., sigma(n)), and length 0
 is the empty permutation, which has no excedances and counts as
@@ -29,7 +31,6 @@ __all__ = [
     "is_alternating_up_down",
     "enumerate_permutations",
     "eulerian_rows",
-    "excedance_distribution",
     "alternating_counts",
 ]
 
@@ -97,47 +98,33 @@ def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def eulerian_rows(count: int) -> Iterator[list[int]]:
-    """Rows 1..count of the Eulerian triangle, each a fresh list: row n
-    tallies the permutations of length n by excedance count.
+    """Rows 0..count-1 of the Eulerian triangle, each a fresh list: row n
+    tallies the permutations of length n by excedance count, and row 0 is
+    [1], the empty permutation with none.
 
-    E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1), from row 0 = [1], is an
-    excedance argument: insert n into the cycles of a permutation sigma of
-    length n-1 as a fixed point or right after a value i, so that
-    sigma'(i) = n and sigma'(n) = sigma(i).  The count stays the same when
-    n is fixed or i was an excedance (k+1 ways), and rises by one when i
-    was a fixed point or a deficiency (n-k ways from count k-1).  A
-    negative count raises here, before any row is asked for.
+    E(n,k) = (k+1) E(n-1,k) + (n-k) E(n-1,k-1) is an excedance argument:
+    insert n into the cycles of a permutation sigma of length n-1 as a
+    fixed point or right after a value i, so that sigma'(i) = n and
+    sigma'(n) = sigma(i).  The count stays the same when n is fixed or i
+    was an excedance (k+1 ways), and rises by one when i was a fixed point
+    or a deficiency (n-k ways from count k-1).  A negative count raises
+    here, before any row is asked for.
 
-    >>> list(eulerian_rows(3))
-    [[1], [1, 1], [1, 4, 1]]
+    >>> list(eulerian_rows(4))
+    [[1], [1], [1, 1], [1, 4, 1]]
     """
     require_size("count", count)
     return _eulerian_rows(count)
 
 
 def _eulerian_rows(count: int) -> Iterator[list[int]]:
-    padded = [0, 1, 0]
-    for n in range(1, count + 1):
-        row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
+    row = [1]
+    for n in range(count):
+        if n:
+            row = [(k + 1) * padded[k + 1] + (n - k) * padded[k] for k in range(n)]
+        # Copied before the yield, so a caller that changes the row changes no later one.
         padded = [0, *row, 0]
         yield row
-
-
-def excedance_distribution(n: int) -> list[int]:
-    """Tally of permutations of length n by excedance count, k = 0..n-1:
-    row n of :func:`eulerian_rows`.  The one permutation of length 0 has 0
-    excedances.
-
-    >>> excedance_distribution(3)
-    [1, 4, 1]
-    >>> excedance_distribution(0)
-    [1]
-    """
-    require_size("permutation length", n)
-    row = [1]
-    for row in _eulerian_rows(n):
-        pass
-    return row
 
 
 def alternating_counts(count: int) -> list[int]:

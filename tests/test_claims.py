@@ -90,7 +90,7 @@ def test_c1_fails_on_a_wrong_tally(monkeypatch):
     rows = claims.eulerian_rows
 
     def miscounted(count):
-        for n, row in enumerate(rows(count), 1):
+        for n, row in enumerate(rows(count)):
             yield [row[0] + 1, *row[1:]] if n == 5 else row
 
     monkeypatch.setattr(claims, "eulerian_rows", miscounted)

@@ -44,9 +44,13 @@ def test_seq_tangent_and_bernoulli():
 
 
 def test_seq_eulerian_rows():
-    result = run_cli("seq", "eulerian", "--count", "3")
+    # The CLI prints from length 1, so it skips the triangle's row 0.
+    for count, stdout in (("1", "1\n"), ("2", "1\n1 1\n"), ("3", "1\n1 1\n1 4 1\n")):
+        result = run_cli("seq", "eulerian", "--count", count)
+        assert (result.returncode, result.stdout) == (0, stdout)
+    result = run_cli("seq", "eulerian", "--count", "1", "--format", "json")
     assert result.returncode == 0
-    assert result.stdout == "1\n1 1\n1 4 1\n"
+    assert json.loads(result.stdout) == {"name": "eulerian", "count": 1, "rows": [["1"]]}
 
 
 def test_seq_json():
@@ -357,7 +361,7 @@ def test_an_unknown_id_is_refused_before_a_known_one_runs(monkeypatch):
     (("series", "phi", "--order", "3", "--t", "1"),
      "phi is undefined at t=1: the denominator t - e^(x(t-1)) has a vanishing constant term there"),
     (("series", "tanh", "--order", "3", "--t", "2"), "--t only applies to phi, not 'tanh'"),
-    (("verify", "--max-n", "-1", "--force"), "--max-n must be within 0..inf, got -1"),
+    (("verify", "--max-n", "-1", "--force"), "--max-n must be >= 0, got -1"),
     (("series", "phi", "--order", "3", "--t", "x"), "not an exact rational: 'x'"),
     (("series", "phi", "--order", "3", "--t=1e5"),
      "exponent notation is not accepted: '1e5'; write t as p/q or an integer"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from excedance import claims, permutations, series
-from excedance.exact import GuardError
+from excedance.exact import GuardError, as_rational
 
 
 def test_field_axioms_hold_structurally():
@@ -31,6 +31,12 @@ def test_rational_results_stay_normalized():
     assert Fraction(1, 3) < Fraction(1, 2) < Fraction(2, 3)
 
 
+def test_a_float_is_refused_not_converted():
+    # The one float that tests/test_source.py allows in src/ is this refusal's.
+    with pytest.raises(TypeError, match=r"^exact arithmetic only: got float 0\.5$"):
+        as_rational(0.5)
+
+
 def test_integer_decimal_roundtrip_to_1000_digits():
     for value in (0, 7, -12345, 10**999 + 7, -(10**999) - 7, 10**1000 - 1):
         assert int(str(value)) == value
@@ -41,7 +47,7 @@ def test_integer_decimal_roundtrip_to_1000_digits():
 # The sequence prefixes, which refuse a negative count the same way, are
 # checked in test_sequences.py.
 @pytest.mark.parametrize("function, args, what", [
-    (permutations.excedance_distribution, (-1,), "permutation length"),
+    (permutations.eulerian_rows, (-1,), "count"),
     (series.exp_linear, (1, -1), "order"),
     (series.phi_polynomials, (-1,), "order"),
     (series.bernoulli_series, (-1,), "order"),

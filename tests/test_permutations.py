@@ -13,11 +13,14 @@ from excedance.permutations import (
     enumerate_permutations,
     eulerian_rows,
     excedance_count,
-    excedance_distribution,
     is_alternating_up_down,
 )
 from excedance.sequences import tangents
 from excedance.series import phi_polynomials
+
+
+# The excedance tallies of lengths 0..100, from one prefix: row n is length n.
+ROWS = list(eulerian_rows(101))
 
 
 def at(row, t):
@@ -98,35 +101,31 @@ def test_enumeration_is_deterministic():
 def test_guard_refuses_then_can_be_raised():
     with pytest.raises(GuardError):
         enumerate_permutations(13)
-    assert sum(excedance_distribution(13)) == factorial(13)
+    assert sum(ROWS[13]) == factorial(13)
 
 
 def test_negative_length_rejected():
     with pytest.raises(ValueError):
-        excedance_distribution(-1)
+        eulerian_rows(-1)
 
 
 def test_distribution_small_cases():
     # The one permutation of length 0 has no excedances.
-    assert excedance_distribution(0) == [1]
-    assert excedance_distribution(1) == [1]
-    assert excedance_distribution(2) == [1, 1]
-    assert excedance_distribution(3) == [1, 4, 1]
-    assert excedance_distribution(4) == [1, 11, 11, 1]
+    assert ROWS[:5] == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
 
 
 def test_distribution_sums_and_symmetry_to_8():
     expected_total = 1
     for n in range(1, 9):
         expected_total *= n
-        tally = excedance_distribution(n)
+        tally = ROWS[n]
         assert sum(tally) == expected_total
         assert tally == tally[::-1]
 
 
 def test_tally_row_folded_at_minus_one_gives_the_alternating_sums():
     # S(n), the sum of (-1)^exc over length n, read from the tally row.
-    assert [at(excedance_distribution(n), -1) for n in range(9)] == [
+    assert [at(ROWS[n], -1) for n in range(9)] == [
         1, 1, 0, -2, 0, 16, 0, -272, 0,
     ]
 
@@ -134,7 +133,7 @@ def test_tally_row_folded_at_minus_one_gives_the_alternating_sums():
 def test_alternating_sum_agrees_with_distribution_fold():
     for n in range(1, 9):
         counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
-        assert at(excedance_distribution(n), -1) == sum((-1) ** k * c for k, c in counts.items())
+        assert at(ROWS[n], -1) == sum((-1) ** k * c for k, c in counts.items())
 
 
 def test_alternating_counts_examples():
@@ -189,15 +188,14 @@ def test_excedance_tally_matches_enumeration_and_the_triangle():
     for n in range(9):
         counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
         # The row sums to n!, so no count is left outside it.
-        row = excedance_distribution(n)
+        row = ROWS[n]
         assert row == [counts[k] for k in range(max(n, 1))] and sum(row) == factorial(n)
     # Past the oracle, phi's polynomials read in powers of t are a second
     # route to the same rows, at every length to 64 and at 100.
     polys = phi_polynomials(100)
-    for n, row in enumerate(eulerian_rows(64), 1):
+    for n in (*range(1, 65), 100):
+        row = ROWS[n]
         assert row == in_powers_of_t(polys[n]) and sum(row) == factorial(n), n
-    row = excedance_distribution(100)
-    assert row == in_powers_of_t(polys[100]) and sum(row) == factorial(100)
 
 
 def test_even_length_counts_match_down_up_recount():
@@ -218,15 +216,15 @@ def test_even_length_counts_match_down_up_recount():
 
 def test_tally_row_folded_at_one_and_minus_one():
     # The excedance polynomial, the tally row folded at t.
-    assert at(excedance_distribution(3), 1) == 6
-    assert at(excedance_distribution(3), -1) == -2
+    assert at(ROWS[3], 1) == 6
+    assert at(ROWS[3], -1) == -2
 
 
 def test_tally_row_of_the_empty_permutation_folds_to_one():
-    assert at(excedance_distribution(0), 7) == 1
+    assert at(ROWS[0], 7) == 1
 
 
 def test_tally_row_folded_at_a_rational_point():
-    value = at(excedance_distribution(3), Fraction(1, 2))
+    value = at(ROWS[3], Fraction(1, 2))
     assert value == 1 + 4 * Fraction(1, 2) + Fraction(1, 4)
 

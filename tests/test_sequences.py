@@ -9,7 +9,6 @@ from excedance.permutations import (
     enumerate_permutations,
     eulerian_rows,
     excedance_count,
-    excedance_distribution,
 )
 from excedance.sequences import (
     alternating_sums,
@@ -25,40 +24,40 @@ TANGENT_KNOWN = {1: 1, 3: 2, 5: 16, 7: 272, 9: 7936, 11: 353792}
 
 GENOCCHI_KNOWN = [1, -1, 0, 1, 0, -3, 0, 17, 0, -155, 0, 2073]
 
-# Rows 1..12 of the Eulerian triangle, from one prefix.
-ROWS = list(eulerian_rows(12))
+# Rows 0..12 of the Eulerian triangle, from one prefix: row n is length n.
+ROWS = list(eulerian_rows(13))
 
 
 def test_eulerian_rows_small():
     assert list(eulerian_rows(0)) == []
-    assert ROWS[:4] == [[1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
+    assert ROWS[:5] == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
 
 
 def test_eulerian_rows_numbers_and_tally_agree_to_12():
-    assert len(ROWS) == 12
-    for n in range(1, 13):
-        assert ROWS[n - 1] == list(eulerian_rows(n))[-1] == excedance_distribution(n)
+    assert len(ROWS) == 13
+    for n in range(13):
+        assert ROWS[n] == list(eulerian_rows(n + 1))[-1]
 
 
 def test_eulerian_rows_match_bruteforce_to_8():
     for n in range(1, 9):
         counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
-        assert ROWS[n - 1] == [counts[k] for k in range(n)]
+        assert ROWS[n] == [counts[k] for k in range(n)]
 
 
 def test_eulerian_row_sums_are_factorials():
     total = 1
     for n in range(1, 11):
         total *= n
-        assert sum(ROWS[n - 1]) == total
+        assert sum(ROWS[n]) == total
 
 
-def test_eulerian_poly_at_values():
-    # The fifth row folded at t; at t = 2 it is the Fubini number 541.
+def test_eulerian_row_5_folded_at_four_points():
+    # Row 5 folded at t; at t = 2 it is the Fubini number 541.
     def at(t):
-        return sum(c * t**k for k, c in enumerate(ROWS[4]))
+        return sum(c * t**k for k, c in enumerate(ROWS[5]))
 
-    assert ROWS[4] == [1, 26, 66, 26, 1]
+    assert ROWS[5] == [1, 26, 66, 26, 1]
     assert [at(1), at(-1), at(2), at(Fraction(1, 3))] == [120, 16, 541, Fraction(1456, 81)]
 
 
@@ -157,7 +156,7 @@ def test_alternating_sum_matches_bruteforce_to_8():
 
 def test_alternating_sums_are_the_eulerian_rows_folded_at_minus_one():
     # Past the oracle, the closed form against every tally row to 64.
-    rows = [[1], *eulerian_rows(64)]
+    rows = list(eulerian_rows(65))
     for n, value in enumerate(alternating_sums(65)):
         assert value == sum((-1) ** k * c for k, c in enumerate(rows[n])), n
 
@@ -178,14 +177,16 @@ def test_sequence_prefix_values_and_indices():
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 37])
-def test_sequence_tables_match_their_scalars(count):
-    # Each prefix, tangent routes included, computes its values at once,
-    # and every shorter prefix is a prefix of a longer one.
+def test_each_prefix_has_count_values_and_extends_to_longer_ones(count):
+    # Each prefix, tangent routes and the Eulerian rows included, gives its
+    # first count values from index 0, and every shorter prefix is a prefix
+    # of a longer one.  eulerian_rows is a generator, so each is read
+    # through list.
     for prefix in (bernoullis, tangents, tangents_by_bernoulli, tangents_by_tanh,
-                   alternating_counts, genocchis, alternating_sums):
-        values = prefix(count)
+                   alternating_counts, genocchis, alternating_sums, eulerian_rows):
+        values = list(prefix(count))
         assert len(values) == count
-        assert prefix(count + 3)[:count] == values
+        assert list(prefix(count + 3))[:count] == values
 
 
 @pytest.mark.parametrize("module", [sequences, series, claims], ids=lambda m: m.__name__)
