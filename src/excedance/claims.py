@@ -3,12 +3,13 @@
 Every claim pairs a left and a right computation that share nothing beyond
 the exact-arithmetic primitives: the integer polynomials of phi against
 the excedance tally, read from the Eulerian rows in powers of t or folded
-at t = -1, closed forms against recurrences, and so on.  phi comes from
-its polynomials and tanh from a series division, so C3 compares two
-independent routes.  A claim is evaluated over its whole finite index
-range at once, so each series, prefix and tally it reads is computed once,
-at the top of the range; C6 and C7 read each tangent route as one such
-prefix, and C7 checks the Genocchi series at every index of its range.
+at t = -1, closed forms against recurrences, and so on.  phi is evaluated
+by its recurrence at t = -1, not read from its polynomials, and tanh comes
+from a series division, so C3 compares two independent routes.  A claim is
+evaluated over its whole finite index range at once, so each series,
+prefix and tally it reads is computed once, at the top of the range; C6
+and C7 read each tangent route as one such prefix, and C7 checks the
+Genocchi series at every index of its range.
 An evaluator yields (n, lhs, rhs) triples, and each triple whose two sides
 differ is a counterexample, kept as it is; the verdict is FAIL exactly
 when at least one counterexample exists.  A ClaimResult holds its Claim,

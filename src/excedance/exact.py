@@ -31,19 +31,19 @@ class GuardError(ValueError):
     """Raised when input from outside is refused, e.g. past a work limit below."""
 
 
-# Work limits: where each applies, and its measured cost (2 cores, Python 3.11.7;
-# CLI times with process start, median of 5 to 11).  Each limit stays even where
+# Work limits: where each applies, and its measured cost (2 cores, Python 3.11.7; CLI
+# times with process start and no bytecode written, median of 11 fresh processes with
+# the commands interleaved, --version alone 0.05 s).  Each limit stays even where
 # its work is now cheap, because removing it would change the exit code of refused inputs.
-DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; verify enumerates nothing, 0.07 s
+DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; verify enumerates nothing, 0.06 s
 # enumerate_permutations yields all 10! in 0.05 s (in-process, median of 3);
-# CLI dist 12 --force builds one row in 0.07 s.
+# CLI dist 12 --force builds one row in 0.05 s.
 ENUMERATION_LIMIT = 12
-SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.08 s
-# CLI seq eulerian --count 500, the slowest seq, takes 1.3 s in text (median of 7,
-# no bytecode written); genocchi 0.11 s.
+SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.05 to 0.06 s
+# CLI seq eulerian --count 500, the slowest seq, takes 1.0 s in text; genocchi 0.06 s.
 SEQ_COUNT_LIMIT = 500
 # CLI series phi --t: digits of its numerator and of its denominator, and so 66 characters
-# of text.  At order 64 the coefficients reach about 64*d + 100 digits: 0.11 s, 0.13 s for p/q.
+# of text.  At order 64 the coefficients reach about 64*d + 100 digits: 0.06 s, 0.07 s for p/q.
 T_DIGITS_LIMIT = 32
 
 

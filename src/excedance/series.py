@@ -9,7 +9,7 @@ The named constructors build the generating functions this package works
 with: e^(a*x), the Eulerian-polynomial generator (t-1)/(t - e^(x(t-1))),
 tanh x, 2x/(e^x+1) and x/(e^x-1).  The last three are quotients, each
 divided afresh on every call; the Eulerian generator is no division but
-the evaluation at t of the integer polynomials :func:`phi_polynomials`.
+the recurrence of :func:`phi_polynomials` evaluated at t, not expanded.
 Nothing is kept between calls.  A coefficient at order k does not depend
 on the truncation, so a caller that needs several coefficients reads them
 from one series at the top order.
@@ -100,9 +100,10 @@ def phi_series(t: Fraction | int, order: int) -> tuple[Fraction, ...]:
     The denominator has constant term t-1, so the quotient exists exactly
     when t != 1.  The exponential view n! * c[n] is the evaluation at t of
     the generating polynomial of the excedance statistic over all
-    permutations of length n (sum of t^exc over the symmetric group), read
-    from :func:`phi_polynomials` at s = t - 1 = p/q with one integer sum
-    per coefficient.
+    permutations of length n (sum of t^exc over the symmetric group),
+    evaluated by the recurrence of :func:`phi_polynomials` at s = t - 1 = p/q
+    in O(order^2) integer products: w_n = q^n a_n(p/q) is an integer, w_0 = 1
+    and w_n = q * sum_{k=1..n} C(n,k) p^(k-1) w_(n-k).
     """
     t = as_rational(t)
     if t == 1:
@@ -110,16 +111,13 @@ def phi_series(t: Fraction | int, order: int) -> tuple[Fraction, ...]:
             "t=1 degenerates the formula (denominator has zero constant term); "
             "the value there is n! per index"
         )
-    s = t - 1
-    p_powers = [s.numerator**j for j in range(order + 1)]
-    q_powers = [s.denominator**j for j in range(order + 1)]
-    coeffs = []
-    for n, a in enumerate(phi_polynomials(order)):
-        # a(p/q) = sum_j a[j] p^j q^(d-j) / q^d, with d the degree of a.
-        d = len(a) - 1
-        value = sum(c * p_powers[j] * q_powers[d - j] for j, c in enumerate(a))
-        coeffs.append(Fraction(value, q_powers[d] * factorial(n)))
-    return tuple(coeffs)
+    require_size("order", order)
+    p, q = (t - 1).as_integer_ratio()
+    p_powers = [p**j for j in range(order)]
+    w = [1]
+    for n in range(1, order + 1):
+        w.append(q * sum(comb(n, k) * p_powers[k - 1] * w[n - k] for k in range(1, n + 1)))
+    return tuple(Fraction(v, q**n * factorial(n)) for n, v in enumerate(w))
 
 
 def tanh_series(order: int) -> tuple[Fraction, ...]:

@@ -53,6 +53,7 @@ def test_integer_decimal_roundtrip_to_1000_digits():
     (series.bernoulli_series, (-1,), "order"),
     (series.egf_coeff, ((1,), -1), "index"),
     (claims.verify_claim, ("C3-phi-tanh", -1), "max_n"),
+    (series.phi_series, (2, -1), "order"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_negative_size_is_a_plain_value_error(function, args, what):
     # A library caller's fault, so not a GuardError: inside a command it

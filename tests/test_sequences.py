@@ -33,7 +33,7 @@ def test_eulerian_rows_small():
     assert ROWS[:5] == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
 
 
-def test_eulerian_rows_numbers_and_tally_agree_to_12():
+def test_each_eulerian_row_is_the_last_row_of_its_prefix_to_12():
     assert len(ROWS) == 13
     for n in range(13):
         assert ROWS[n] == list(eulerian_rows(n + 1))[-1]

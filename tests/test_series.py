@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from cauchy import series_mul
 
-from excedance import cli
+from excedance import cli, series
 from excedance.series import (
     _divide,
     bernoulli_series,
@@ -129,15 +129,34 @@ def test_phi_egf_matches_exhaustive_count_at_two():
 
 
 def test_phi_satisfies_defining_relation():
-    # The polynomial route times the denominator of the quotient it expands,
-    # up to a 32-digit p/q at the top order.
+    # phi, evaluated by its recurrence at t, times the denominator of the
+    # quotient it equals, so a wrong coefficient anywhere up to the top order
+    # fails; up to 32-digit integers and p/q at the top order.
     big = Fraction(12345678901234567890123456789012, 98765432109876543210987654321097)
     cases = [(t, 12) for t in (Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3))]
-    for t, n in cases + [(big, 64)]:
+    top = (Fraction(-7, 5), Fraction(6, 5), big, Fraction(10**32 - 1), -big)
+    for t, n in cases + [(t, 64) for t in top]:
         phi = phi_series(t, n)
         e = exp_linear(t - 1, n)
         denominator = (t - e[0], *(-c for c in e[1:]))
         assert series_mul(phi, denominator) == constant(t - 1, n)
+
+
+def test_phi_is_evaluated_apart_from_its_polynomials(monkeypatch):
+    # phi_series runs the recurrence at t itself: with phi_polynomials
+    # refused it still gives each a_n(t - 1) / n!, read from the expansion.
+    points = (Fraction(0), Fraction(-1), Fraction(3), Fraction(-7, 2), Fraction(6, 5))
+    expected = {
+        t: tuple(sum(c * (t - 1) ** j for j, c in enumerate(a)) / factorial(n)
+                 for n, a in enumerate(series.phi_polynomials(33)))
+        for t in points
+    }
+
+    def refused(order):
+        raise AssertionError("phi_series expanded phi_polynomials")
+    monkeypatch.setattr(series, "phi_polynomials", refused)
+    for t in points:
+        assert phi_series(t, 33) == expected[t]
 
 
 def test_tanh_low_order_coefficients():
