@@ -51,7 +51,8 @@ def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 _package = sys.modules[__package__]
 
 # Each prefix gives the first count values, or rows of the Eulerian triangle
-# from length 1, so this is the one place that skips the triangle's row 0.
+# from length 1, so this is the one place that skips the triangle's row 0;
+# dist reads its row n through the eulerian entry, as the last of n rows.
 # An entry reaches its module through the package and reads its function
 # there only when called, so a command loads no module it does not run, and
 # a wrapper that bench/traced.py binds on the module in the function's place
@@ -103,8 +104,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
     hint = "" if args.force else f" (--force raises the cap to {ENUMERATION_LIMIT})"
     require_within("n", n, 1, ENUMERATION_LIMIT if args.force else DESK_LIMIT, hint)
-    from .permutations import eulerian_rows
-    *_, tally = eulerian_rows(n + 1)
+    *_, tally = SEQUENCES["eulerian"](n)
     total = sum(tally)
     n_factorial = factorial(n)
     if args.format == "json":
@@ -128,29 +128,23 @@ def cmd_dist(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     name, order = args.name, args.order
     require_within("--order", order, 0, SERIES_ORDER_LIMIT)
-    t = args.t
+    t, params = args.t, {"order": order}
     if name == "phi":
         t = _phi_t(t)
+        params = {"t": str(t), **params}
     elif t is not None:
         raise GuardError(f"--t only applies to phi, not {name!r}")
     from .series import egf_coeff
     series = SERIES[name](order, t)
     ordinary = [str(c) for c in series]
     egf = [str(egf_coeff(series, k)) for k in range(order + 1)]
-    if name == "phi":
-        label = f"phi(t={t}, order={order})"
-    else:
-        label = f"{name}(order={order})"
     if args.format == "json":
         import json
-        doc: dict = {"name": name}
-        if name == "phi":
-            doc["t"] = str(t)
-        doc.update({"order": order, "coeffs": ordinary, "egf": egf})
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"name": name, **params, "coeffs": ordinary, "egf": egf}, indent=2))
     else:
+        label = ", ".join(f"{key}={value}" for key, value in params.items())
         powers = ("", "*x", *(f"*x^{k}" for k in range(2, order + 1)))
-        print(f"{label} = " + " + ".join(c + power for c, power in zip(ordinary, powers)))
+        print(f"{name}({label}) = " + " + ".join(c + power for c, power in zip(ordinary, powers)))
         rows = [(str(k), ordinary[k], egf[k]) for k in range(order + 1)]
         print(_format_table(("n", "[x^n]", "n!*[x^n]"), rows))
     return 0
@@ -204,10 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.strict and any_fail:
         return 1
     if unexpected:
-        print(
-            f"unexpected verdicts for: {', '.join(unexpected)}",
-            file=sys.stderr,
-        )
+        print(f"unexpected verdicts for: {', '.join(unexpected)}", file=sys.stderr)
         return 1
     return 0
 
@@ -254,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     forcing = argparse.ArgumentParser(add_help=False)
     forcing.add_argument(
         "--force", action="store_true",
-        help=f"raise desk-scale guards (enumeration up to length {ENUMERATION_LIMIT}, "
-             f"verification past max-n {DESK_LIMIT})",
+        help=f"raise desk-scale guards (dist's n up to {ENUMERATION_LIMIT}, "
+             f"verify past max-n {DESK_LIMIT})",
     )
 
     parser = argparse.ArgumentParser(

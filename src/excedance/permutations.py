@@ -8,11 +8,11 @@ one function here with a size limit, ``ENUMERATION_LIMIT`` (12) in the
 table of :mod:`excedance.exact`, because its work is n!.  The excedance
 tally is the Eulerian triangle of :func:`eulerian_rows`, O(n^2) integer
 steps with no enumeration, which ``seq eulerian``, ``dist`` and the claims
-read.  Like every prefix, it gives its first count values from index 0:
-rows 0..count-1, so row n is the tally of length n.  Up-down permutations
-of every length below a bound are counted by one pass of Seidel's
-boustrophedon triangle in O(n^2) additions, and the tests check the counts
-against filtered enumeration up to length 9.
+read.  Like ``alternating_counts`` and the Bernoulli and alternating-sum
+prefixes, it starts at index 0: rows 0..count-1, so row n is the tally of
+length n.  Up-down permutations of every length below a bound are counted
+by one pass of Seidel's boustrophedon triangle in O(n^2) additions, and
+the tests check the counts against filtered enumeration up to length 9.
 Positions and values are 1-based throughout: a permutation is the tuple of
 its images, its one-line notation (sigma(1), ..., sigma(n)), and length 0
 is the empty permutation, which has no excedances and counts as

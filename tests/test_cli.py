@@ -160,7 +160,7 @@ def test_help_shows_the_limits():
     verify = " ".join(run_cli("verify", "--help").stdout.split())
     assert f"default {DESK_LIMIT}; higher needs --force" in verify
     assert (
-        f"enumeration up to length {ENUMERATION_LIMIT}, verification past max-n {DESK_LIMIT}"
+        f"dist's n up to {ENUMERATION_LIMIT}, verify past max-n {DESK_LIMIT}"
         in verify
     )
 

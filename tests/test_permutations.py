@@ -98,7 +98,7 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
-def test_guard_refuses_then_can_be_raised():
+def test_enumeration_refuses_13_while_row_13_sums_to_13_factorial():
     with pytest.raises(GuardError):
         enumerate_permutations(13)
     assert sum(ROWS[13]) == factorial(13)
@@ -109,12 +109,12 @@ def test_negative_length_rejected():
         eulerian_rows(-1)
 
 
-def test_distribution_small_cases():
+def test_eulerian_rows_0_to_4():
     # The one permutation of length 0 has no excedances.
     assert ROWS[:5] == [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
 
 
-def test_distribution_sums_and_symmetry_to_8():
+def test_eulerian_rows_sum_to_n_factorial_and_are_palindromes_to_8():
     expected_total = 1
     for n in range(1, 9):
         expected_total *= n
@@ -130,7 +130,7 @@ def test_tally_row_folded_at_minus_one_gives_the_alternating_sums():
     ]
 
 
-def test_alternating_sum_agrees_with_distribution_fold():
+def test_tally_row_folded_at_minus_one_matches_enumeration_to_8():
     for n in range(1, 9):
         counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
         assert at(ROWS[n], -1) == sum((-1) ** k * c for k, c in counts.items())

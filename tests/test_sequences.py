@@ -179,9 +179,10 @@ def test_sequence_prefix_values_and_indices():
 @pytest.mark.parametrize("count", [0, 1, 2, 37])
 def test_each_prefix_has_count_values_and_extends_to_longer_ones(count):
     # Each prefix, tangent routes and the Eulerian rows included, gives its
-    # first count values from index 0, and every shorter prefix is a prefix
-    # of a longer one.  eulerian_rows is a generator, so each is read
-    # through list.
+    # first count values, and every shorter prefix is a prefix of a longer
+    # one.  Most start at index 0, but genocchis starts at G_1 and the
+    # tangent prefixes hold T(1), T(3), ..., the odd indices only.
+    # eulerian_rows is a generator, so each is read through list.
     for prefix in (bernoullis, tangents, tangents_by_bernoulli, tangents_by_tanh,
                    alternating_counts, genocchis, alternating_sums, eulerian_rows):
         values = list(prefix(count))
