@@ -78,26 +78,39 @@ def cmd_seq(args: argparse.Namespace) -> int:
     name, count = args.name, args.count
     require_within("--count", count, 1, SEQ_COUNT_LIMIT)
     values = SEQUENCES[name](count)
+    # str of an int or a Fraction holds only digits, "-" and "/", which JSON
+    # writes inside quotes unchanged, so each value is quoted by hand.
     if name == "eulerian":
-        key, items = "rows", ([str(v) for v in row] for row in values)
+        key, items, as_text, between = "rows", map(_mirrored, values), " ".join, "\n"
+        as_json = lambda row: '    [\n      "' + '",\n      "'.join(row) + '"\n    ]'
     else:
-        key, items = "values", map(str, values)
+        key, items, as_text, between = "values", map(str, values), str, ", "
+        as_json = lambda value: f'    "{value}"'
+    write, last = as_text, ""
     if args.format == "json":
-        import json
-        # Item by item, the bytes json.dumps(..., indent=2) would give for
-        # the whole document, which would hold every item at once.
+        # The bytes of json.dumps(doc, indent=2), item by item, so no document is held whole.
         print("{", f'  "name": "{name}",', f'  "count": {count},', f'  "{key}": [', sep="\n")
-        separator = ""
-        for item in items:
-            print(separator + "    " + json.dumps(item, indent=2).replace("\n", "\n    "), end="")
-            separator = ",\n"
-        print("\n  ]\n}")
-    elif name == "eulerian":
-        for row in items:
-            print(" ".join(row))
-    else:
-        print(", ".join(items))
+        write, between, last = as_json, ",\n", "\n  ]\n}"
+    separator = ""
+    for item in items:
+        print(separator + write(item), end="")
+        separator = between
+    print(last)
     return 0
+
+
+def _mirrored(row: Sequence[int]) -> list[str]:
+    """A tally row as text, with only its first half formatted.
+
+    E(n,k) = E(n,n-1-k) (Foata and Schützenberger, LNM 138, 1970), so the
+    second half is the first read backwards, the middle entry of an odd row
+    written once.
+
+    >>> _mirrored([1]), _mirrored([1, 1]), _mirrored([1, 4, 1]), _mirrored([1, 11, 11, 1])
+    (['1'], ['1', '1'], ['1', '4', '1'], ['1', '11', '11', '1'])
+    """
+    half = [str(v) for v in row[:(len(row) + 1) // 2]]
+    return half + half[:len(row) // 2][::-1]
 
 
 def cmd_dist(args: argparse.Namespace) -> int:

@@ -40,7 +40,8 @@ DESK_LIMIT = 8  # CLI dist n and verify --max-n without --force; verify enumerat
 # CLI dist 12 --force builds one row in 0.05 s.
 ENUMERATION_LIMIT = 12
 SERIES_ORDER_LIMIT = 64  # CLI series <name> --order 64 takes 0.05 to 0.06 s
-# CLI seq eulerian --count 500, the slowest seq, takes 1.0 s in text; genocchi 0.06 s.
+# CLI seq eulerian --count 500, the slowest seq, takes 0.53 s in text and 0.55 s in JSON;
+# genocchi 0.05 s.
 SEQ_COUNT_LIMIT = 500
 # CLI series phi --t: digits of its numerator and of its denominator, and so 66 characters
 # of text.  At order 64 the coefficients reach about 64*d + 100 digits: 0.06 s, 0.07 s for p/q.

@@ -48,9 +48,13 @@ def test_seq_eulerian_rows():
     for count, stdout in (("1", "1\n"), ("2", "1\n1 1\n"), ("3", "1\n1 1\n1 4 1\n")):
         result = run_cli("seq", "eulerian", "--count", count)
         assert (result.returncode, result.stdout) == (0, stdout)
-    result = run_cli("seq", "eulerian", "--count", "1", "--format", "json")
-    assert result.returncode == 0
-    assert json.loads(result.stdout) == {"name": "eulerian", "count": 1, "rows": [["1"]]}
+    # Each row is printed from its first half, so a one-entry row is the
+    # place a mirror would write twice.
+    frame = '{\n  "name": "eulerian",\n  "count": %s,\n  "rows": [\n%s\n  ]\n}\n'
+    for count, rows in (("1", '    [\n      "1"\n    ]'),
+                        ("2", '    [\n      "1"\n    ],\n    [\n      "1",\n      "1"\n    ]')):
+        result = run_cli("seq", "eulerian", "--count", count, "--format", "json")
+        assert (result.returncode, result.stdout) == (0, frame % (count, rows))
 
 
 def test_seq_json():

@@ -72,6 +72,11 @@ def test_cli_import_leaves_slow_modules_unloaded():
     # The Eulerian rows are the excedance tally, so they live in permutations.
     (["seq", "eulerian", "--count", "3"], 0, "permutations",
      {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
+    # seq quotes each value itself, so its JSON loads no json either.
+    (["seq", "tangent", "--count", "3", "--format", "json"], 0, "sequences",
+     {"excedance.claims", "excedance.series", "fractions", "json"}),
+    (["seq", "eulerian", "--count", "3", "--format", "json"], 0, "permutations",
+     {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
     (["dist", "5"], 0, "permutations",
      {"excedance.claims", "excedance.series", "excedance.sequences", "fractions", "json"}),
     (["series", "tanh", "--order", "3"], 0, "series",
@@ -83,8 +88,8 @@ def test_cli_import_leaves_slow_modules_unloaded():
     # A bound is refused before any claim is loaded.
     (["verify", "--max-n", "9"], 2, "exact", {"excedance.claims", "fractions"}),
     (["verify", "--max-n", "-1"], 2, "exact", {"excedance.claims", "fractions"}),
-], ids=["seq", "seq-eulerian", "dist", "series", "verify", "verify-json",
-        "verify-over-cap", "verify-negative"])
+], ids=["seq", "seq-eulerian", "seq-json", "seq-eulerian-json", "dist", "series", "verify",
+        "verify-json", "verify-over-cap", "verify-negative"])
 def test_each_command_loads_only_what_it_runs(argv, exit_code, runs, unloaded):
     code = (f"import sys, excedance.cli; code = excedance.cli.main({argv!r}); "
             f"print(code, 'excedance.{runs}' in sys.modules, "

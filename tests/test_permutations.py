@@ -7,7 +7,7 @@ import pytest
 from cauchy import in_powers_of_t
 
 from excedance.claims import verify_all
-from excedance.exact import GuardError
+from excedance.exact import SEQ_COUNT_LIMIT, GuardError
 from excedance.permutations import (
     alternating_counts,
     enumerate_permutations,
@@ -121,6 +121,12 @@ def test_eulerian_rows_sum_to_n_factorial_and_are_palindromes_to_8():
         tally = ROWS[n]
         assert sum(tally) == expected_total
         assert tally == tally[::-1]
+
+
+def test_every_row_seq_eulerian_prints_is_a_palindrome():
+    # seq eulerian formats the first half of each row and mirrors it.
+    for row in eulerian_rows(SEQ_COUNT_LIMIT + 1):
+        assert row == row[::-1]
 
 
 def test_tally_row_folded_at_minus_one_gives_the_alternating_sums():
