@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import require_size
@@ -46,7 +46,7 @@ from .sequences import (
     tangents_by_bernoulli,
     tangents_by_tanh,
 )
-from .series import egf_coeff, genocchi_series, phi_polynomials, phi_series, tanh_series
+from .series import genocchi_series, phi_polynomials, phi_series, tanh_series
 
 __all__ = ["CLAIMS", "Claim", "ClaimResult", "verify_claim", "verify_all"]
 
@@ -199,7 +199,7 @@ def _eval_integrality(ns: range) -> Triples:
         if n % 2:
             for route in rational_routes:
                 yield n, route[n // 2].denominator, 1
-        yield n, egf_coeff(genocchi, n).denominator, 1
+        yield n, (factorial(n) * genocchi[n]).denominator, 1
 
 
 def _eval_genocchi_relation(ns: range) -> Triples:

@@ -147,10 +147,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         params = {"t": str(t), **params}
     elif t is not None:
         raise GuardError(f"--t only applies to phi, not {name!r}")
-    from .series import egf_coeff
     series = SERIES[name](order, t)
     ordinary = [str(c) for c in series]
-    egf = [str(egf_coeff(series, k)) for k in range(order + 1)]
+    egf = [str(factorial(k) * c) for k, c in enumerate(series)]
     if args.format == "json":
         import json
         print(json.dumps({"name": name, **params, "coeffs": ordinary, "egf": egf}, indent=2))

@@ -92,12 +92,12 @@ def tangents_by_tanh(count: int) -> list[Fraction]:
     ['1', '2', '16', '272']
     """
     # Only this series route imports series, so seq never loads it.
-    from .series import egf_coeff, tanh_series
+    from .series import tanh_series
     require_size("count", count)
     if not count:
         return []
     tanh = tanh_series(2 * count - 1)
-    return [(-1) ** n * egf_coeff(tanh, 2 * n + 1) for n in range(count)]
+    return [(-1) ** n * math.factorial(2 * n + 1) * tanh[2 * n + 1] for n in range(count)]
 
 
 def tangents(count: int) -> list[int]:

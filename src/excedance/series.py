@@ -2,8 +2,7 @@
 
 A series truncated at order N is the tuple of its ordinary coefficients
 c[0..N], so its order is its length less one.  The exponential view
-``n! * c[n]`` is always derived on demand (:func:`egf_coeff`), never stored,
-so multiplication stays a plain Cauchy product.
+``n! * c[n]`` is written where it is read, never stored.
 
 The named constructors build the generating functions this package works
 with: e^(a*x), the Eulerian-polynomial generator (t-1)/(t - e^(x(t-1))),
@@ -29,7 +28,6 @@ __all__ = [
     "tanh_series",
     "genocchi_series",
     "bernoulli_series",
-    "egf_coeff",
 ]
 
 
@@ -146,15 +144,3 @@ def bernoulli_series(order: int) -> tuple[Fraction, ...]:
     """
     require_size("order", order)
     return _divide((1,), tuple(Fraction(1, factorial(k + 1)) for k in range(order + 1)))
-
-
-def egf_coeff(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
-    """Exponential coefficient n! * c[n]; errors past the truncation order."""
-    require_size("index", n)
-    if n >= len(coeffs):
-        raise ValueError(
-            f"index {n} exceeds the truncation order {len(coeffs) - 1}; "
-            "rebuild the series with a larger order"
-        )
-    return factorial(n) * as_rational(coeffs[n])
-

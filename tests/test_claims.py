@@ -42,7 +42,7 @@ FIRST_COUNTEREXAMPLES = {
 }
 
 
-def test_registry_has_thirteen_claims_in_order():
+def test_claims_table_has_thirteen_claims_in_order():
     assert list(CLAIMS) == list(EXPECTED_AT_8)
 
 
@@ -51,8 +51,8 @@ def test_every_claim_cites_a_source_location():
         assert claim.paper_ref.strip()
 
 
-def test_registry_table_is_well_formed():
-    # The registry is a constant table, so its shape is checked here rather
+def test_claims_table_is_well_formed():
+    # CLAIMS is a constant table, so its shape is checked here rather
     # than on every import.
     ids = [claim.id for claim in CLAIMS.values()]
     assert ids == list(CLAIMS)
@@ -223,7 +223,7 @@ def test_range_is_clamped_to_bound():
     assert (result.claim.lo, result.hi) == (0, 12)
 
 
-def test_unknown_claim_and_guard_errors():
+def test_unknown_claim_is_a_key_error_and_negative_max_n_a_value_error():
     with pytest.raises(KeyError):
         verify_claim("C99-nope", 8)
     with pytest.raises(ValueError):

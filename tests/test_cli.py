@@ -431,8 +431,9 @@ def test_verify_json_no_meta_is_byte_identical():
     (("seq", "tangent", "--count", "12", "--format", "json"), "seq_tangent_count_12.json"),
     (("series", "phi", "--order", "64", "--t=-7/5", "--format", "json"),
      "series_phi_order_64_t_-7_5.json"),
+    (("series", "bernoulli", "--order", "20"), "series_bernoulli_order_20.txt"),
 ])
-def test_verify_output_matches_the_golden_file(argv, golden):
+def test_each_golden_argv_matches_its_file(argv, golden):
     # The files pin each output byte for byte; rewrite one only when a
     # verdict, range, counterexample or value is meant to change.  CI diffs
     # the same files against `python -m excedance` writing to a pipe.

@@ -51,7 +51,6 @@ def test_integer_decimal_roundtrip_to_1000_digits():
     (series.exp_linear, (1, -1), "order"),
     (series.phi_polynomials, (-1,), "order"),
     (series.bernoulli_series, (-1,), "order"),
-    (series.egf_coeff, ((1,), -1), "index"),
     (claims.verify_claim, ("C3-phi-tanh", -1), "max_n"),
     (series.phi_series, (2, -1), "order"),
 ], ids=lambda v: getattr(v, "__name__", None))

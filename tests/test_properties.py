@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from excedance.cli import SERIES
 from excedance.permutations import alternating_counts, eulerian_rows
 from excedance.sequences import tangents, tangents_by_bernoulli, tangents_by_tanh
-from excedance.series import _divide, egf_coeff, exp_linear, phi_series
+from excedance.series import _divide, exp_linear, phi_series
 
 lengths = st.integers(min_value=0, max_value=7)
 # The excedance tallies of lengths 0..7, from one prefix: row n is length n.
@@ -28,7 +28,7 @@ def test_tally_triangle_and_series_agree(n, t):
     # The tally row folded at t against phi's coefficient, evaluated from its
     # polynomials; t = 1 is the row sum n!.
     folded = sum(c * t**k for k, c in enumerate(ROWS[n]))
-    assert folded == (egf_coeff(phi_series(t, n), n) if t != 1 else factorial(n))
+    assert folded == (factorial(n) * phi_series(t, n)[n] if t != 1 else factorial(n))
 
 
 small = st.builds(

@@ -9,7 +9,6 @@ from excedance import cli, series
 from excedance.series import (
     _divide,
     bernoulli_series,
-    egf_coeff,
     exp_linear,
     genocchi_series,
     phi_series,
@@ -125,7 +124,7 @@ def test_phi_at_minus_one_is_one_plus_tanh():
 def test_phi_egf_matches_exhaustive_count_at_two():
     # 3! * [x^3] phi(x,2) = 1*1 + 4*2 + 1*4 over the six length-3
     # permutations tallied by excedance count (1, 4, 1).
-    assert egf_coeff(phi_series(2, 3), 3) == 13
+    assert factorial(3) * phi_series(2, 3)[3] == 13
 
 
 def test_phi_satisfies_defining_relation():
@@ -185,36 +184,31 @@ def test_tanh_odd_egf_values_are_signed_positive_integers():
 
 def test_genocchi_series_first_values():
     g = genocchi_series(8)
-    assert egf_coeff(g, 1) == 1
-    assert egf_coeff(g, 2) == -1
-    assert egf_coeff(g, 3) == 0
-    assert egf_coeff(g, 6) == -3
+    assert factorial(1) * g[1] == 1
+    assert factorial(2) * g[2] == -1
+    assert factorial(3) * g[3] == 0
+    assert factorial(6) * g[6] == -3
 
 
 def test_genocchi_series_integrality():
     g = genocchi_series(12)
     for n in range(1, 13):
-        assert egf_coeff(g, n).denominator == 1
+        assert (factorial(n) * g[n]).denominator == 1
 
 
 def test_bernoulli_series_values_and_parity():
     b = bernoulli_series(15)
-    assert egf_coeff(b, 0) == 1
-    assert egf_coeff(b, 1) == Fraction(-1, 2)
-    assert egf_coeff(b, 2) == Fraction(1, 6)
+    assert factorial(0) * b[0] == 1
+    assert factorial(1) * b[1] == Fraction(-1, 2)
+    assert factorial(2) * b[2] == Fraction(1, 6)
     for n in range(3, 16, 2):
-        assert egf_coeff(b, n) == 0
+        assert factorial(n) * b[n] == 0
 
 
-def test_egf_coeff_examples_and_bounds():
-    assert egf_coeff((1,), 0) == 1
+def test_e_to_the_x_has_every_exponential_coefficient_one():
     e = exp_linear(1, 9)
     for k in range(10):
-        assert egf_coeff(e, k) == 1
-    with pytest.raises(ValueError):
-        egf_coeff(e, 10)
-    with pytest.raises(ValueError):
-        egf_coeff(e, -1)
+        assert factorial(k) * e[k] == 1
 
 
 def test_series_text_writes_x0_and_x1_without_powers(capsys):
@@ -229,8 +223,6 @@ def test_series_text_writes_x0_and_x1_without_powers(capsys):
 
 
 def test_floats_are_refused_everywhere():
-    with pytest.raises(TypeError):
-        egf_coeff((0.5, 1), 0)
     with pytest.raises(TypeError):
         exp_linear(0.5, 3)
     with pytest.raises(TypeError):
