@@ -31,6 +31,9 @@ from .exact import (
     GuardError,
     require_within,
 )
+TYPE_CHECKING = False  # type checkers read it as true; at run time fractions loads lazily
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -13,6 +13,9 @@ size.  A limit is applied only where input arrives from outside
 oracle); every polynomial library function takes any size.
 """
 from __future__ import annotations
+TYPE_CHECKING = False  # type checkers read it as true; at run time fractions loads lazily
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "GuardError",

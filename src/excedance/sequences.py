@@ -33,6 +33,9 @@ import math
 from operator import add, mul
 
 from .exact import require_size
+TYPE_CHECKING = False  # type checkers read it as true; at run time fractions loads lazily
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "bernoullis",

@@ -4,9 +4,9 @@
 would have given: exit code, stdout and stderr.  ``run_python`` starts a
 fresh interpreter with ``src/`` on PYTHONPATH, for the few tests where the
 process itself is the point: the modules a command loads from a cold
-start, its peak memory, ``python -m`` and its ``sys.exit``, a reader that
-closes the pipe, and bench/traced.py, which wraps the package before the
-command runs.
+start, its peak memory, ``python -m`` and its ``sys.exit``, the golden
+bytes each argv writes into a pipe, a reader that closes the pipe, and
+bench/traced.py, which wraps the package before the command runs.
 """
 import io
 import os
@@ -49,5 +49,9 @@ def run_python(*args: str, env: dict[str, str] | None = None,
     """Run ``python ARGS`` in a fresh interpreter that imports the package from src/."""
     environ = {**os.environ, **(env or {})}
     environ["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + environ.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=environ, timeout=timeout)
+    result = subprocess.run([sys.executable, *args], capture_output=True, env=environ,
+                            timeout=timeout)
+    # Decoded here, since text=True would read "\r\n" as "\n" and hide it from a
+    # byte-for-byte comparison.
+    return subprocess.CompletedProcess(result.args, result.returncode, result.stdout.decode(),
+                                       result.stderr.decode())

@@ -117,7 +117,7 @@ def test_dist_guard_and_force():
 
 def test_dist_at_the_forced_limit_is_the_eulerian_row():
     # The row dist prints against phi's polynomial read in powers of t.
-    result = run_cli("dist", str(ENUMERATION_LIMIT), "--force", "--format", "json", timeout=15)
+    result = run_cli("dist", str(ENUMERATION_LIMIT), "--force", "--format", "json", timeout=5)
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     expected = in_powers_of_t(phi_polynomials(ENUMERATION_LIMIT)[ENUMERATION_LIMIT])
@@ -125,14 +125,20 @@ def test_dist_at_the_forced_limit_is_the_eulerian_row():
     assert doc["sum"] == doc["factorial"] == str(factorial(ENUMERATION_LIMIT))
 
 
-@pytest.mark.parametrize("argv", [
-    ("dist", str(DESK_LIMIT)),
-    ("series", "tanh", "--order", str(SERIES_ORDER_LIMIT)),
-    ("verify", "--max-n", str(DESK_LIMIT)),
-    ("seq", "eulerian", "--count", str(SEQ_COUNT_LIMIT)),
-])
-def test_each_limit_accepts_its_own_value(argv):
-    result = run_cli(*argv, timeout=60)
+# Every seq name at the cap in JSON: genocchi reads the integer tangent
+# prefix and bernoulli runs on integers over lcm(1..count), so each takes a
+# fraction of a second; the others stay well inside a minute.
+@pytest.mark.parametrize("argv, timeout", [
+    (("dist", str(DESK_LIMIT)), 60),
+    (("series", "tanh", "--order", str(SERIES_ORDER_LIMIT)), 60),
+    (("verify", "--max-n", str(DESK_LIMIT)), 60),
+    (("seq", "eulerian", "--count", str(SEQ_COUNT_LIMIT)), 60),
+    *((("seq", name, "--count", str(SEQ_COUNT_LIMIT), "--format", "json"),
+       5 if name in ("genocchi", "bernoulli") else 60) for name in cli.SEQUENCES),
+], ids=["dist", "series", "verify", "seq-eulerian",
+        *(f"seq-{name}-json" for name in cli.SEQUENCES)])
+def test_each_limit_accepts_its_own_value(argv, timeout):
+    result = run_cli(*argv, timeout=timeout)
     assert result.returncode == 0
     assert result.stderr == ""
 
@@ -227,18 +233,18 @@ def test_series_phi_t_digit_limit():
     # more digit above or below the bar, or a long decimal, exits 2 at once.
     largest = "9" * T_DIGITS_LIMIT
     order = str(SERIES_ORDER_LIMIT)
-    text = run_cli("series", "phi", "--order", order, f"--t={largest}", timeout=15)
+    text = run_cli("series", "phi", "--order", order, f"--t={largest}", timeout=5)
     assert text.returncode == 0 and text.stderr == ""
     assert text.stdout.startswith(f"phi(t={largest}, order={order}) = 1 + ")
     assert len(text.stdout.splitlines()) == SERIES_ORDER_LIMIT + 3
     json_run = run_cli("series", "phi", "--order", order, f"--t=-{largest}", "--format", "json",
-                       timeout=15)
+                       timeout=5)
     assert json_run.returncode == 0 and json_run.stderr == ""
     doc = json.loads(json_run.stdout)
     assert doc["t"] == f"-{largest}" and len(doc["egf"]) == SERIES_ORDER_LIMIT + 1
     for t in ("9" * (T_DIGITS_LIMIT + 1), f"1/{'9' * (T_DIGITS_LIMIT + 1)}", "9" * 70,
               "1." + "5" * 4000):
-        result = run_cli("series", "phi", "--order", order, f"--t={t}", timeout=15)
+        result = run_cli("series", "phi", "--order", order, f"--t={t}", timeout=5)
         assert result.returncode == 2
         assert result.stdout == ""
         assert f"at most {T_DIGITS_LIMIT} digits" in result.stderr
@@ -257,7 +263,8 @@ def test_series_phi_t_refusal_does_not_depend_on_the_int_digit_limit():
     # under PYTHONINTMAXSTRDIGITS=0; the length of --t is refused before that.
     for t in ("9" * 5000, "0.5" + "0" * 4400):
         for digits in ("0", "4300"):
-            result = run_python("-m", "excedance", "series", "phi", "--order", "3", f"--t={t}",
+            result = run_python("-m", "excedance", "series", "phi", "--order",
+                                str(SERIES_ORDER_LIMIT), f"--t={t}",
                                 env={"PYTHONINTMAXSTRDIGITS": digits})
             assert (result.returncode, result.stdout, result.stderr) == (
                 2, "", f"error: {T_DIGITS_REFUSAL}\n")
@@ -432,14 +439,19 @@ def test_verify_json_no_meta_is_byte_identical():
     (("series", "phi", "--order", "64", "--t=-7/5", "--format", "json"),
      "series_phi_order_64_t_-7_5.json"),
     (("series", "bernoulli", "--order", "20"), "series_bernoulli_order_20.txt"),
+    (("dist", "12", "--force", "--format", "json"), "dist_12_force.json"),
+    (("series", "tanh", "--order", "20"), "series_tanh_order_20.txt"),
+    (("series", "genocchi", "--order", "20", "--format", "json"), "series_genocchi_order_20.json"),
+    (("seq", "genocchi", "--count", "40"), "seq_genocchi_count_40.txt"),
+    (("seq", "altsum", "--count", "30", "--format", "json"), "seq_altsum_count_30.json"),
 ])
 def test_each_golden_argv_matches_its_file(argv, golden):
     # The files pin each output byte for byte; rewrite one only when a
-    # verdict, range, counterexample or value is meant to change.  CI diffs
-    # the same files against `python -m excedance` writing to a pipe.
-    result = run_cli(*argv, timeout=60)
-    assert result.returncode == 0
-    assert result.stdout == (DATA / golden).read_text()
+    # verdict, range, counterexample or value is meant to change.  Each argv
+    # runs in a fresh `python -m excedance` process that writes into a pipe.
+    result = run_python("-m", "excedance", *argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (DATA / golden).read_bytes().decode()
 
 
 def test_bench_tracer_runs_verify_unchanged(tmp_path):
@@ -489,9 +501,8 @@ def test_version_flag():
 
 
 def test_python_m_exits_with_the_code_main_returns():
-    # The other tests call main in-process; here __main__ hands its code to sys.exit.
-    result = run_python("-m", "excedance", "verify")
-    assert (result.returncode, result.stdout) == (0, (DATA / "verify.txt").read_text())
+    # Most tests call main in-process; here __main__ hands its code to sys.exit.
+    assert run_python("-m", "excedance", "verify").returncode == 0
     strict = run_python("-m", "excedance", "verify", "--claims", "C8-genocchi-relation", "--strict")
     assert strict.returncode == 1
     for argv in (("verify", "--max-n", "9"), ("bogus",)):

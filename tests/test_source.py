@@ -1,6 +1,8 @@
-"""Static checks of the source: no float reaches src/, and every file parses
-as Python 3.10, the oldest version pyproject.toml accepts."""
+"""Static checks of the source: no float reaches src/, every annotation names
+something the module binds, and every file parses as Python 3.10, the oldest
+version pyproject.toml accepts."""
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,46 @@ def test_no_float_in_the_package(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed = _refused_float(tree) if path.name == "exact.py" else set()
     assert list(_float_uses(tree, allowed)) == []
+
+
+def _module_names(body: list[ast.stmt]) -> set[str]:
+    """The names that statements at module scope bind, within a top-level if too."""
+    names: set[str] = set()
+    for node in body:
+        if isinstance(node, ast.If):
+            names |= _module_names(node.body) | _module_names(node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names |= {target.id for target in ast.walk(node)
+                      if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)}
+    return names
+
+
+def _unbound_annotation_names(tree: ast.Module):
+    bound = _module_names(tree.body) | set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for name in ast.walk(annotation) if annotation else ():
+            if isinstance(name, ast.Name) and name.id not in bound:
+                yield name.lineno, name.id
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_relative)
+def test_every_annotation_names_a_module_binding(path):
+    # A type checker resolves an annotation in the module's namespace, so a
+    # name imported only inside a function body is unbound there, though the
+    # deferred annotation never runs; one imported under a top-level
+    # `if TYPE_CHECKING:` is bound.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_unbound_annotation_names(tree)) == []
 
 
 @pytest.mark.parametrize("path", TEXTS, ids=_relative)
