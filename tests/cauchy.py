@@ -2,10 +2,14 @@
 own route: the Cauchy product of two truncated series, which checks series
 division without any division of its own, the series quotient solved in
 Fraction arithmetic term by term, the reference for the package's integer
-division, and the change of variable from s = t - 1 to t, which reads
-phi's polynomials as excedance tallies."""
+division, the change of variable from s = t - 1 to t, which reads phi's
+polynomials as excedance tallies, the excedance tally counted over the
+enumeration oracle, the reference for the Eulerian rows, and the fold of a
+coefficient row at a point."""
 from fractions import Fraction
 from math import comb
+
+from excedance.permutations import enumerate_permutations, excedance_count
 
 
 def series_mul(a: tuple, b: tuple) -> tuple:
@@ -31,3 +35,18 @@ def in_powers_of_t(a: list[int]) -> list[int]:
     s^j = (t - 1)^j gives C(j, i) (-1)^(j-i) to t^i for each i <= j."""
     return [sum(comb(j, i) * (-1) ** (j - i) * a[j] for j in range(i, len(a)))
             for i in range(len(a))]
+
+
+def enumerated_tally(n: int) -> list[int]:
+    """The excedance tally of length n over every permutation the oracle
+    enumerates: entry k counts those with k excedances, k < max(n, 1)."""
+    row = [0] * max(n, 1)
+    for p in enumerate_permutations(n):
+        row[excedance_count(p)] += 1
+    return row
+
+
+def fold(row, t):
+    """The sum of c * t^k over the row, lowest power first; a tally row
+    folded at t is the sum of t^exc over its permutations."""
+    return sum(c * t**k for k, c in enumerate(row))

@@ -1,16 +1,11 @@
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from cauchy import fold
 
-from excedance import claims, sequences, series
-from excedance.permutations import (
-    alternating_counts,
-    enumerate_permutations,
-    eulerian_rows,
-    excedance_count,
-)
+from excedance import claims, cli, exact, permutations, sequences, series
+from excedance.permutations import alternating_counts, eulerian_rows
 from excedance.sequences import (
     alternating_sums,
     bernoullis,
@@ -40,12 +35,6 @@ def test_each_eulerian_row_is_the_last_row_of_its_prefix_to_12():
         assert ROWS[n] == list(eulerian_rows(n + 1))[-1]
 
 
-def test_eulerian_rows_match_bruteforce_to_8():
-    for n in range(1, 9):
-        counts = Counter(excedance_count(p) for p in enumerate_permutations(n))
-        assert ROWS[n] == [counts[k] for k in range(n)]
-
-
 def test_eulerian_row_sums_are_factorials():
     total = 1
     for n in range(1, 11):
@@ -55,11 +44,9 @@ def test_eulerian_row_sums_are_factorials():
 
 def test_eulerian_row_5_folded_at_four_points():
     # Row 5 folded at t; at t = 2 it is the Fubini number 541.
-    def at(t):
-        return sum(c * t**k for k, c in enumerate(ROWS[5]))
-
     assert ROWS[5] == [1, 26, 66, 26, 1]
-    assert [at(1), at(-1), at(2), at(Fraction(1, 3))] == [120, 16, 541, Fraction(1456, 81)]
+    points = (1, -1, 2, Fraction(1, 3))
+    assert [fold(ROWS[5], t) for t in points] == [120, 16, 541, Fraction(1456, 81)]
 
 
 def test_bernoulli_values():
@@ -148,18 +135,11 @@ def test_alternating_sum_closed_form():
     assert alternating_sums(9) == [1, 1, 0, -2, 0, 16, 0, -272, 0]
 
 
-def test_alternating_sum_matches_bruteforce_to_8():
-    # The closed form against the enumerated tally folded at t = -1.
-    for n, value in enumerate(alternating_sums(9)):
-        tally = Counter(excedance_count(p) for p in enumerate_permutations(n))
-        assert value == sum((-1) ** k * c for k, c in tally.items()), n
-
-
 def test_alternating_sums_are_the_eulerian_rows_folded_at_minus_one():
     # Past the oracle, the closed form against every tally row to 64.
     rows = list(eulerian_rows(65))
     for n, value in enumerate(alternating_sums(65)):
-        assert value == sum((-1) ** k * c for k, c in enumerate(rows[n])), n
+        assert value == fold(rows[n], -1), n
 
 
 def test_alternating_sum_signs_track_tangent():
@@ -191,15 +171,20 @@ def test_each_prefix_has_count_values_and_extends_to_longer_ones(count):
         assert list(prefix(count + 3))[:count] == values
 
 
-@pytest.mark.parametrize("module", [sequences, series, claims], ids=lambda m: m.__name__)
+# The constant tables, the only module-level lists, dicts or sets in src/.
+TABLES = {claims: ["CLAIMS"], cli: ["SEQUENCES", "SERIES"]}
+
+
+@pytest.mark.parametrize("module", [sequences, series, claims, cli, exact, permutations],
+                         ids=lambda m: m.__name__)
 def test_no_module_level_lists(module):
     # Sequences and series are computed per request, so no module keeps a
-    # memo; the claim registry is a constant table.
+    # memo; the claim registry and the CLI's name tables are constant.
     stores = [
         name for name, value in vars(module).items()
         if isinstance(value, (list, dict, set)) and not name.startswith("__")
     ]
-    assert stores == (["CLAIMS"] if module is claims else [])
+    assert stores == TABLES.get(module, [])
 
 
 def test_sequence_prefixes_reject_a_negative_count():

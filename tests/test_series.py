@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from cauchy import series_mul
+from cauchy import fold, series_mul
 
 from excedance import cli, series
 from excedance.series import (
@@ -146,7 +146,7 @@ def test_phi_is_evaluated_apart_from_its_polynomials(monkeypatch):
     # refused it still gives each a_n(t - 1) / n!, read from the expansion.
     points = (Fraction(0), Fraction(-1), Fraction(3), Fraction(-7, 2), Fraction(6, 5))
     expected = {
-        t: tuple(sum(c * (t - 1) ** j for j, c in enumerate(a)) / factorial(n)
+        t: tuple(fold(a, t - 1) / factorial(n)
                  for n, a in enumerate(series.phi_polynomials(33)))
         for t in points
     }
