@@ -13,13 +13,12 @@ suppressed by --no-meta.
 """
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from collections.abc import Sequence
 from itertools import islice
 from math import factorial
+from types import SimpleNamespace
 
 from . import __version__
 from .exact import (
@@ -76,8 +75,29 @@ SERIES = {
     "bernoulli": lambda order, t: _package.series.bernoulli_series(order),
 }
 
+# Each command's help and its arguments beside _SHARED, as (name, type, default, help):
+# a name without "--" is the positional, a type is bool (a switch), int, str or a tuple of
+# choices, and a default of ... marks one the command needs.  Only dist and verify take --force.
+_SHARED = (("--format", ("text", "json"), "text", "output format, text or json (default: text)"),
+           ("--no-meta", bool, False, "omit the timestamp and version from JSON (only verify's has any)"))
+_FORCE = ("--force", bool, False, f"raise desk-scale guards (dist's n up to {ENUMERATION_LIMIT}, "
+                                  f"verify past max-n {DESK_LIMIT})")
+COMMANDS = {
+    "seq": ("print the first values of a sequence", ("name", tuple(SEQUENCES), ..., "|".join(SEQUENCES)),
+            ("--count", int, ..., f"how many values (1..{SEQ_COUNT_LIMIT})")),
+    "dist": ("excedance distribution table", ("n", int, ..., f"permutation length (1..{DESK_LIMIT}, "
+                                                             f"{ENUMERATION_LIMIT} with --force)"), _FORCE),
+    "series": ("print a truncated series", ("name", tuple(SERIES), ..., "|".join(SERIES)),
+               ("--order", int, ..., f"truncation order (0..{SERIES_ORDER_LIMIT})"),
+               ("--t", str, None, "evaluation point for phi (exact rational, not 1)")),
+    "verify": ("verify registered claims",
+               ("--claims", str, "all", "'all' or comma-separated claim ids (default: all)"),
+               ("--max-n", int, DESK_LIMIT, f"index bound (default {DESK_LIMIT}; higher needs --force)"),
+               ("--strict", bool, False, "exit 1 if any claim FAILs, even expected ones"), _FORCE),
+}
 
-def cmd_seq(args: argparse.Namespace) -> int:
+
+def cmd_seq(args: SimpleNamespace) -> int:
     name, count = args.name, args.count
     require_within("--count", count, 1, SEQ_COUNT_LIMIT)
     values = SEQUENCES[name](count)
@@ -116,7 +136,7 @@ def _mirrored(row: Sequence[int]) -> list[str]:
     return half + half[:len(row) // 2][::-1]
 
 
-def cmd_dist(args: argparse.Namespace) -> int:
+def cmd_dist(args: SimpleNamespace) -> int:
     n = args.n
     hint = "" if args.force else f" (--force raises the cap to {ENUMERATION_LIMIT})"
     require_within("n", n, 1, ENUMERATION_LIMIT if args.force else DESK_LIMIT, hint)
@@ -141,7 +161,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: SimpleNamespace) -> int:
     name, order = args.name, args.order
     require_within("--order", order, 0, SERIES_ORDER_LIMIT)
     t, params = args.t, {"order": order}
@@ -165,7 +185,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     hint = "" if args.force else " (--force lifts the cap)"
     require_within("--max-n", args.max_n, 0, None if args.force else DESK_LIMIT, hint)
     from .claims import CLAIMS, FAIL, verify_all
@@ -245,79 +265,59 @@ def _phi_t(text: str | None) -> Fraction:
     return t
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument(
-        "--no-meta", action="store_true",
-        help="omit the timestamp/version metadata from JSON output "
-             "(only verify's JSON has any)",
-    )
-    # Only dist and verify have a guard that --force raises.
-    forcing = argparse.ArgumentParser(add_help=False)
-    forcing.add_argument(
-        "--force", action="store_true",
-        help=f"raise desk-scale guards (dist's n up to {ENUMERATION_LIMIT}, "
-             f"verify past max-n {DESK_LIMIT})",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="excedance",
-        description="Exact permutation statistics, classical sequences, and identity verification.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seq = sub.add_parser("seq", parents=[common], help="print the first values of a sequence")
-    p_seq.add_argument("name", choices=SEQUENCES)
-    p_seq.add_argument("--count", type=int, required=True, help=f"how many values (1..{SEQ_COUNT_LIMIT})")
-    p_seq.set_defaults(func=cmd_seq)
-
-    p_dist = sub.add_parser("dist", parents=[common, forcing], help="excedance distribution table")
-    p_dist.add_argument("n", type=int, help=f"permutation length (1..{DESK_LIMIT}, "
-                                            f"{ENUMERATION_LIMIT} with --force)")
-    p_dist.set_defaults(func=cmd_dist)
-
-    p_series = sub.add_parser("series", parents=[common], help="print a truncated series")
-    p_series.add_argument("name", choices=SERIES)
-    p_series.add_argument("--order", type=int, required=True,
-                          help=f"truncation order (0..{SERIES_ORDER_LIMIT})")
-    p_series.add_argument("--t", help="evaluation point for phi (exact rational, not 1)")
-    p_series.set_defaults(func=cmd_series)
-
-    p_verify = sub.add_parser("verify", parents=[common, forcing], help="verify registered claims")
-    p_verify.add_argument("--claims", default="all",
-                          help="'all' or comma-separated claim ids (default: all)")
-    p_verify.add_argument("--max-n", type=int, default=DESK_LIMIT, dest="max_n",
-                          help=f"index bound (default {DESK_LIMIT}; higher needs --force)")
-    p_verify.add_argument("--strict", action="store_true",
-                          help="exit 1 if any claim FAILs, even expected ones")
-    p_verify.set_defaults(func=cmd_verify)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace cmd_<command> reads, or command None and the text --help or --version prints."""
+    if argv[:1] == ["--version"] or "-h" in argv or "--help" in argv:
+        text = f"excedance {__version__}" if argv[0] == "--version" else _help(argv[0])
+        return SimpleNamespace(command=None, text=text)
+    command = _read("command", tuple(COMMANDS), argv[0] if argv else ...)
+    arguments = (*COMMANDS[command][1:], *_SHARED)
+    kinds = {name: kind for name, kind, _, _ in arguments}
+    values = {name: default for name, _, default, _ in arguments}
+    positional = next((name for name in kinds if not name.startswith("--")), None)
+    words = iter(argv[1:])
+    for word in words:
+        # A bare word is the positional's value, taken once; the word after a flag is its value.
+        name, equals, value = word.partition("=") if word.startswith("--") else (positional, "=", word)
+        kind = kinds.get(name) if name != positional or values.get(name) is ... else None
+        if kind is None or kind is bool and equals:
+            raise GuardError(f"unrecognized arguments: {word}")
+        values[name] = True if kind is bool else _read(name, kind, value if equals else next(words, ...))
+    for name, value in values.items():
+        _read(name, str, value)  # refuses a missing one
+    return SimpleNamespace(command=command, **{n.lstrip("-").replace("-", "_"): v for n, v in values.items()})
 
 
-def _attach_negative_t(argv: list[str]) -> list[str]:
-    # argparse reads "-1/2" after "--t" as an unknown flag rather than a
-    # value, because it only recognises negative integers and decimals;
-    # "--t=-1/2" leaves it no choice.
-    joined: list[str] = []
-    for arg in argv:
-        if joined and joined[-1] == "--t" and re.match(r"-[\d.]", arg):
-            joined[-1] = f"--t={arg}"
-        else:
-            joined.append(arg)
-    return joined
+def _read(name: str, kind: type | tuple[str, ...], word: str) -> int | str:
+    """word as the value of name, whose kind is int, str or a tuple of choices."""
+    if word is ...:
+        raise GuardError(f"missing {name}")
+    if kind is int:
+        try:
+            return int(word)
+        except ValueError:
+            raise GuardError(f"{name} must be an integer, got {word!r}")
+    if kind is not str and word not in kind:
+        raise GuardError(f"invalid choice: {word!r} (choose from {', '.join(map(repr, kind))})")
+    return word
+
+
+def _help(command: str) -> str:
+    """The usage line and a row per argument of command, or per command."""
+    if command in COMMANDS:
+        usage, rows = f"{command} [options]", [(a[0], a[-1]) for a in (*COMMANDS[command][1:], *_SHARED)]
+    else:
+        usage, rows = "command [options] | --version", [(name, entry[0]) for name, entry in COMMANDS.items()]
+    return f"usage: excedance {usage}\n\n{_format_table(rows[0], rows[1:])}"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_t(sys.argv[1:] if argv is None else argv))
     try:
-        code = args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.command is None:
+            print(args.text)
+        # cmd_<command> is read at call time, so a wrapper bound on this module in its place runs.
+        code = 0 if args.command is None else globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return code
     except GuardError as exc:

@@ -33,10 +33,7 @@ def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedPro
         signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:  # argparse: usage errors, --help, --version
-                code = exc.code
+            code = cli.main(list(argv))
     finally:
         if timeout is not None:
             signal.setitimer(signal.ITIMER_REAL, 0)

@@ -7,6 +7,9 @@ SUBMODULES = ("exact", "series", "permutations", "sequences", "claims", "cli")
 
 # The load pins run in a fresh interpreter, since pytest itself loads
 # dataclasses, json and every module the other tests import.
+# The command line is read from cli.COMMANDS, so no command loads argparse or
+# the gettext and locale that argparse loads.
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def test_package_exports_are_pinned():
@@ -57,8 +60,8 @@ def test_each_submodule_resolves_on_first_use():
 
 
 def test_cli_import_leaves_slow_modules_unloaded():
-    slow = {"dataclasses", "inspect", "datetime", "fractions", "json", "excedance.claims",
-            "excedance.permutations", "excedance.sequences", "excedance.series"}
+    slow = {*ARGPARSE, "dataclasses", "inspect", "datetime", "fractions", "json",
+            "excedance.claims", "excedance.permutations", "excedance.sequences", "excedance.series"}
     result = run_python("-c",
                         f"import sys, excedance.cli; print(sorted({slow!r} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
@@ -88,12 +91,14 @@ def test_cli_import_leaves_slow_modules_unloaded():
     # A bound is refused before any claim is loaded.
     (["verify", "--max-n", "9"], 2, "exact", {"excedance.claims", "fractions"}),
     (["verify", "--max-n", "-1"], 2, "exact", {"excedance.claims", "fractions"}),
+    (["--version"], 0, "exact", {"excedance.claims", "excedance.permutations",
+                                 "excedance.sequences", "excedance.series", "fractions", "json"}),
 ], ids=["seq", "seq-eulerian", "seq-json", "seq-eulerian-json", "dist", "series", "verify",
-        "verify-json", "verify-over-cap", "verify-negative"])
+        "verify-json", "verify-over-cap", "verify-negative", "version"])
 def test_each_command_loads_only_what_it_runs(argv, exit_code, runs, unloaded):
     code = (f"import sys, excedance.cli; code = excedance.cli.main({argv!r}); "
             f"print(code, 'excedance.{runs}' in sys.modules, "
-            f"sorted({unloaded!r} & set(sys.modules)))")
+            f"sorted({unloaded | ARGPARSE!r} & set(sys.modules)))")
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{exit_code} True []"

@@ -172,14 +172,14 @@ def test_each_prefix_has_count_values_and_extends_to_longer_ones(count):
 
 
 # The constant tables, the only module-level lists, dicts or sets in src/.
-TABLES = {claims: ["CLAIMS"], cli: ["SEQUENCES", "SERIES"]}
+TABLES = {claims: ["CLAIMS"], cli: ["SEQUENCES", "SERIES", "COMMANDS"]}
 
 
 @pytest.mark.parametrize("module", [sequences, series, claims, cli, exact, permutations],
                          ids=lambda m: m.__name__)
 def test_no_module_level_lists(module):
     # Sequences and series are computed per request, so no module keeps a
-    # memo; the claim registry and the CLI's name tables are constant.
+    # memo; the claim registry and the CLI's name and command tables are constant.
     stores = [
         name for name, value in vars(module).items()
         if isinstance(value, (list, dict, set)) and not name.startswith("__")
